@@ -489,7 +489,9 @@ def _build_cache_warm(smoke: bool, jobs: Optional[int] = None) -> CasePair:
 
 
 # --------------------------------------------------------------------- #
-# Serving soak: brownout (cached telemetry) vs fresh digests per query
+# Serving soak: the telemetry cache (brownout level 2, cached answers) vs
+# a fresh state digest per query (level 0) -- a cache effect measured on
+# one engine, not an engine-vs-oracle speedup
 # --------------------------------------------------------------------- #
 
 
@@ -658,7 +660,10 @@ CASES: Tuple[PerfCase, ...] = (
         requires_cores=2,
     ),
     PerfCase("sweep_cache_warm", "result cache", 5.0, _build_cache_warm),
-    PerfCase("serve_soak", "serving brownout", 1.2, _build_serve_soak),
+    PerfCase(
+        "serve_soak", "telemetry cache (brownout L2 vs L0)", 1.2,
+        _build_serve_soak,
+    ),
     PerfCase("serve_1m", "\u00a712 serving drill", 5.0, _build_serve_1m),
     PerfCase("metrics_hot_path", "obs hot loops", 1.5, _build_metrics_hot_path),
 )

@@ -124,15 +124,7 @@ def apply_entry(manager: FabricManager, payload: Mapping[str, object]) -> None:
     if op == "retarget":
         for ocs_index, north, south in payload["changes"]:
             state = manager.switch(OcsId(int(ocs_index))).state
-            north, south = int(north), int(south)
-            if state.south_of(north) == south:
-                continue
-            if state.south_of(north) is not None:
-                state.disconnect(north)
-            other = state.north_of(south)
-            if other is not None:
-                state.disconnect(other)
-            state.connect(north, south)
+            state.retarget(int(north), int(south))
         return
     raise ReplicationError(f"unknown replicated op {op!r}")
 

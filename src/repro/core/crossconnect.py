@@ -26,12 +26,15 @@ class CrossConnectMap:
     """A partial bijection between north ports and south ports of one OCS.
 
     Ports are integers in ``[0, radix)`` on each side.  The map is mutable;
-    use :meth:`copy` to snapshot.
+    use :meth:`copy` to snapshot.  ``version`` counts the mutations that
+    changed the map (every :meth:`connect`, :meth:`disconnect` and
+    :meth:`clear`), so a cache keyed on ``(map, version)`` is never stale.
     """
 
     radix: int
     _n_to_s: Dict[int, int] = field(default_factory=dict, repr=False)
     _s_to_n: Dict[int, int] = field(default_factory=dict, repr=False)
+    version: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.radix <= 0:
@@ -91,6 +94,7 @@ class CrossConnectMap:
             )
         self._n_to_s[north] = south
         self._s_to_n[south] = north
+        self.version += 1
 
     def disconnect(self, north: int) -> int:
         """Tear down the circuit on ``north``; returns the freed south port."""
@@ -98,12 +102,33 @@ class CrossConnectMap:
             raise CrossConnectError(f"north port {north} has no circuit")
         south = self._n_to_s.pop(north)
         del self._s_to_n[south]
+        self.version += 1
         return south
+
+    def retarget(self, north: int, south: int) -> None:
+        """Move ``north`` onto ``south``, freeing both ports first.
+
+        A no-op when the circuit already exists.  Otherwise the circuit on
+        ``north`` (if any) and then the one holding ``south`` (if any) are
+        torn down before ``north <-> south`` is connected: the explicit,
+        last-writer-wins move the serving and replication planes commit.
+        Ports are range-checked first, so a bad port changes nothing.
+        """
+        if self._n_to_s.get(north) == south:
+            return
+        self._check_range(north, south)
+        if north in self._n_to_s:
+            self.disconnect(north)
+        other = self._s_to_n.get(south)
+        if other is not None:
+            self.disconnect(other)
+        self.connect(north, south)
 
     def clear(self) -> None:
         """Tear down every circuit."""
         self._n_to_s.clear()
         self._s_to_n.clear()
+        self.version += 1
 
     # ------------------------------------------------------------------ #
     # Queries

@@ -99,6 +99,12 @@ class FabricManager:
         self._switches: Dict[OcsId, SwitchLike] = {}
         self._links: Dict[LinkId, LogicalLink] = {}
         self.stats = ReconfigStats()
+        # state_digest() caches: per switch index (state, version, JSON),
+        # the link-table JSON (dropped by every link mutator) and the last
+        # digest.
+        self._switch_json: Dict[int, Tuple[CrossConnectMap, int, str]] = {}
+        self._links_json: Optional[str] = None
+        self._digest: Optional[str] = None
         #: Observability bundle; NULL_OBS (shared no-op) when not supplied,
         #: so the instrumented paths cost one no-op call each.
         self.obs = obs if obs is not None else NULL_OBS
@@ -141,6 +147,7 @@ class FabricManager:
         sw.state.connect(north, south)
         link = LogicalLink(link_id, ocs_id, north, south)
         self._links[link_id] = link
+        self._links_json = None
         self.obs.metrics.counter("fabric.link.establish").inc()
         return link
 
@@ -159,6 +166,7 @@ class FabricManager:
             )
         link = LogicalLink(link_id, ocs_id, north, south)
         self._links[link_id] = link
+        self._links_json = None
         return link
 
     def teardown(self, link_id: LinkId) -> None:
@@ -180,6 +188,7 @@ class FabricManager:
             )
         sw.state.disconnect(link.north)
         del self._links[link_id]
+        self._links_json = None
         self.obs.metrics.counter("fabric.link.teardown").inc()
 
     def link(self, link_id: LinkId) -> LogicalLink:
@@ -305,6 +314,7 @@ class FabricManager:
         for link_id in stale:
             del self._links[link_id]
         if stale:
+            self._links_json = None
             self.obs.metrics.counter("fabric.link.dropped_stale").inc(len(stale))
 
     # ------------------------------------------------------------------ #
@@ -336,6 +346,7 @@ class FabricManager:
         drives hardware toward it.
         """
         self._links = {link.link_id: link for link in links}
+        self._links_json = None
 
     def checkpoint(self) -> Dict[str, object]:
         """JSON-serializable snapshot of the full control-plane state.
@@ -352,11 +363,16 @@ class FabricManager:
                 }
                 for ocs_id, sw in sorted(self._switches.items())
             },
-            "links": [
-                [str(link.link_id), link.ocs.index, link.north, link.south]
-                for link in (self._links[k] for k in sorted(self._links))
-            ],
+            "links": self._link_rows(),
         }
+
+    def _link_rows(self) -> List[List[object]]:
+        """The checkpoint's link table: ``[name, ocs, north, south]`` rows
+        in link-id order."""
+        return [
+            [str(link.link_id), link.ocs.index, link.north, link.south]
+            for link in sorted(self._links.values(), key=lambda link: link.link_id.name)
+        ]
 
     def restore(self, snapshot: Mapping[str, object]) -> None:
         """Drive registered switches and the link table to a checkpoint.
@@ -389,6 +405,40 @@ class FabricManager:
 
     def state_digest(self) -> str:
         """SHA-256 over the canonical checkpoint: equal digests mean the
-        switch states and link tables are byte-identical."""
-        payload = json.dumps(self.checkpoint(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        switch states and link tables are byte-identical.
+
+        The bytes hashed are exactly ``json.dumps(checkpoint(),
+        sort_keys=True, separators=(",", ":"))``, but built incrementally:
+        each switch's JSON fragment is cached against its state object and
+        that map's mutation counter (:attr:`CrossConnectMap.version`), so
+        only switches whose circuits changed are re-serialized, and the
+        link-table JSON is re-rendered only after a link mutator ran.  No
+        caller has to invalidate anything; an unchanged fabric returns the
+        previous digest without hashing.
+        """
+        fresh = self._digest is None
+        cache = self._switch_json
+        for ocs_id, sw in self._switches.items():
+            index, state = ocs_id.index, sw.state
+            entry = cache.get(index)
+            if entry is None or entry[0] is not state or entry[1] != state.version:
+                circuits = [[n, s] for n, s in sorted(state.circuits)]
+                body = _canonical_json({"radix": sw.radix, "circuits": circuits})
+                cache[index] = (state, state.version, f'"{index}":{body}')
+                fresh = True
+        if self._links_json is None:
+            self._links_json = _canonical_json(self._link_rows())
+            fresh = True
+        if not fresh:
+            return self._digest  # type: ignore[return-value]
+        # json.dumps(sort_keys=True) orders the stringified indices
+        # lexicographically ("10" < "2"), not numerically.
+        switches = ",".join(cache[index][2] for index in sorted(cache, key=str))
+        payload = f'{{"links":{self._links_json},"switches":{{{switches}}}}}'
+        self._digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return self._digest
+
+
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` without
+#: building an encoder per call: the serialization state_digest() hashes.
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode

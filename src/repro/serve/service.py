@@ -46,10 +46,6 @@ from a :class:`~repro.scheduler.allocator.ReconfigurableAllocator`.
 
 from __future__ import annotations
 
-import bisect
-import hashlib
-import heapq
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -240,6 +236,17 @@ def build_serve_manager(
         ocs, north = config.tenant_circuit(f"t-{t:03d}")
         manager.switch(ocs).state.connect(north, config.south_for_bank(north, 0))
     return manager
+
+
+def _free_slice_port(manager: FabricManager, config: ServeConfig) -> Optional[int]:
+    """The port the next slice circuit takes: the lowest slice-OCS port
+    free on both sides (slice circuits are always port <-> port).
+
+    Shared by both serving planes and :func:`replay_committed`, so a
+    replayed alloc re-derives exactly the port the live run chose.
+    """
+    state = manager.switch(config.slice_ocs).state
+    return min(state.free_north & state.free_south, default=None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -435,101 +442,6 @@ class _CubeLedger:
         self.free += job.cubes
 
 
-class _DigestCache:
-    """Byte-identical ``FabricManager.state_digest()`` with per-switch
-    fragment reuse.
-
-    The digest hashes ``json.dumps(checkpoint(), sort_keys=True)``;
-    recomputing it from scratch costs a full sort-and-serialize of every
-    switch for every fresh telemetry answer.  A retarget touches exactly
-    one switch, so this cache keeps each switch's serialized fragment
-    and re-renders only dirty ones; the link table (which only slice
-    ops change, one link at a time) is kept as per-link fragments in a
-    bisect-maintained name order, so an alloc or release re-joins
-    strings instead of re-sorting and re-serializing every link.
-    Equality with the real digest is pinned by
-    ``tests/serve/test_fastpath.py``.
-    """
-
-    __slots__ = ("_manager", "_fragments", "_order", "_by_key", "_dirty",
-                 "_link_fragments", "_link_names", "_links_json", "_digest")
-
-    def __init__(self, manager: FabricManager) -> None:
-        self._manager = manager
-        # json.dumps(sort_keys=True) orders the stringified switch
-        # indices lexicographically ("10" < "2"), so the fragment order
-        # must match that, not numeric order.
-        self._by_key = {str(o.index): o for o in manager.switch_ids}
-        self._order = sorted(self._by_key)
-        self._fragments: Dict[str, str] = {}
-        self._dirty = set(self._order)
-        self._link_fragments: Dict[str, str] = {}
-        self._link_names: List[str] = []
-        self._links_json: Optional[str] = None
-        self._digest: Optional[str] = None
-        self.resync_links()
-
-    def invalidate_switch(self, ocs: OcsId) -> None:
-        self._dirty.add(str(ocs.index))
-        self._digest = None
-
-    def resync_links(self) -> None:
-        """Full rebuild of the link fragments from the manager (init, or
-        after any link change not routed through add/remove)."""
-        self._link_fragments = {
-            str(link.link_id): json.dumps(
-                [str(link.link_id), link.ocs.index, link.north, link.south],
-                separators=(",", ":"),
-            )
-            for link in self._manager.links
-        }
-        # FabricManager.links sorts by LinkId, which orders by name, so
-        # sorted names reproduce the checkpoint's link order exactly.
-        self._link_names = sorted(self._link_fragments)
-        self._links_json = None
-        self._digest = None
-
-    def link_added(self, name: str, ocs_index: int, north: int, south: int) -> None:
-        self._link_fragments[name] = json.dumps(
-            [name, ocs_index, north, south], separators=(",", ":")
-        )
-        bisect.insort(self._link_names, name)
-        self._links_json = None
-        self._digest = None
-
-    def link_removed(self, name: str) -> None:
-        del self._link_fragments[name]
-        index = bisect.bisect_left(self._link_names, name)
-        del self._link_names[index]
-        self._links_json = None
-        self._digest = None
-
-    def digest(self) -> str:
-        if self._digest is not None:
-            return self._digest
-        for key in self._dirty:
-            sw = self._manager.switch(self._by_key[key])
-            circuits = json.dumps(
-                [[n, s] for n, s in sorted(sw.state.circuits)],
-                separators=(",", ":"),
-            )
-            self._fragments[key] = (
-                f'"{key}":{{"circuits":{circuits},"radix":{sw.radix}}}'
-            )
-        self._dirty.clear()
-        if self._links_json is None:
-            fragments = self._link_fragments
-            self._links_json = (
-                "[" + ",".join(map(fragments.__getitem__, self._link_names)) + "]"
-            )
-        payload = (
-            '{"links":' + self._links_json + ',"switches":{'
-            + ",".join(self._fragments[k] for k in self._order) + "}}"
-        )
-        self._digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        return self._digest
-
-
 class FabricService:
     """Serial, deterministic serving loop over tenant requests."""
 
@@ -626,8 +538,6 @@ class FabricService:
 
         # Fast commit plane (engaged by run(), solo mode only).
         self._fast = False
-        self._digest_cache: Optional[_DigestCache] = None
-        self._free_ports: List[int] = []
 
         # Mutable run state.
         self._commit_log: List[CommitEntry] = []
@@ -881,15 +791,7 @@ class FabricService:
             # WAL record, no plan diff.  Equivalence with the journaled
             # plane is what the replay-digest check proves.
             for (ocs, north), south in changes.items():
-                state = self.manager.switch(ocs).state
-                if state.south_of(north) != south:
-                    if state.south_of(north) is not None:
-                        state.disconnect(north)
-                    other = state.north_of(south)
-                    if other is not None:
-                        state.disconnect(other)
-                    state.connect(north, south)
-                    self._digest_cache.invalidate_switch(ocs)
+                self.manager.switch(ocs).state.retarget(north, south)
             return
         if self.replication is not None:
             payload = {
@@ -906,12 +808,7 @@ class FabricService:
         for (ocs, north), south in changes.items():
             if ocs not in targets:
                 targets[ocs] = self.manager.switch(ocs).state.copy()
-            tmap = targets[ocs]
-            if tmap.south_of(north) is not None:
-                tmap.disconnect(north)
-            if tmap.north_of(south) is not None:
-                tmap.disconnect(tmap.north_of(south))
-            tmap.connect(north, south)
+            targets[ocs].retarget(north, south)
         self.controller.reconfigure(targets, token=token)  # type: ignore[arg-type]
 
     def _dispatch_retarget(self, request: TenantRequest, t: float) -> float:
@@ -937,18 +834,6 @@ class FabricService:
         self._record(request, outcome, t_end, attempts=attempts, detail=detail)
         return t_end
 
-    def _free_slice_port(self) -> Optional[int]:
-        if self._fast:
-            # Slice circuits are always port<->port on the slice OCS, so
-            # the reference scan's "lowest doubly-free port" is exactly
-            # the min of the free-port heap.
-            return self._free_ports[0] if self._free_ports else None
-        state = self.manager.switch(self.config.slice_ocs).state
-        for port in range(self.config.slice_radix):
-            if state.south_of(port) is None and state.north_of(port) is None:
-                return port
-        return None
-
     def _dispatch_slice_alloc(self, request: TenantRequest, t: float) -> float:
         cubes = int(request.param("cubes", 1))
         job = JobRequest(
@@ -957,7 +842,7 @@ class FabricService:
             duration_s=3600.0,
             arrival_s=request.arrival_s,
         )
-        port = self._free_slice_port()
+        port = _free_slice_port(self.manager, self.config)
         if port is None or self.allocator.try_allocate(job) is None:
             t_end = t + self.config.noop_ms / 1e3
             self._record(request, Outcome.ERROR, t_end, detail="capacity")
@@ -969,14 +854,6 @@ class FabricService:
                 self.manager.establish(
                     LinkId(f"sl-{request.request_id}"),
                     self.config.slice_ocs,
-                    port,
-                    port,
-                )
-                heapq.heappop(self._free_ports)  # == port (peeked above)
-                self._digest_cache.invalidate_switch(self.config.slice_ocs)
-                self._digest_cache.link_added(
-                    f"sl-{request.request_id}",
-                    self.config.slice_ocs.index,
                     port,
                     port,
                 )
@@ -1030,9 +907,6 @@ class FabricService:
         def apply() -> None:
             if self._fast:
                 self.manager.teardown(LinkId(f"sl-{alloc_id}"))
-                heapq.heappush(self._free_ports, port)
-                self._digest_cache.invalidate_switch(self.config.slice_ocs)
-                self._digest_cache.link_removed(f"sl-{alloc_id}")
             elif self.replication is not None:
                 self.replication.submit(
                     {"op": "teardown", "link": f"sl-{alloc_id}"},
@@ -1068,11 +942,7 @@ class FabricService:
             t_end = t + self.config.telemetry_cached_ms / 1e3
             self._record(request, Outcome.OK, t_end, detail="cached")
             return t_end
-        if self._fast:
-            # Same digest bytes, but only dirty switches re-serialize.
-            digest = self._digest_cache.digest()
-        else:
-            digest = self.manager.state_digest()
+        digest = self.manager.state_digest()
         self._telemetry_cache = (digest, t)
         self._cache_misses += 1
         self._telemetry_miss_counter.inc()
@@ -1198,8 +1068,8 @@ class FabricService:
 
         This is the fast path: in solo-controller mode it engages the
         delta commit plane (direct switch-state moves, count-twin
-        allocator, free-port heap, fragment-cached telemetry digests,
-        O(1) recovery) -- bit-identical to :meth:`run_reference`, which
+        allocator, O(1) recovery, no WAL checkpoints) -- bit-identical
+        to :meth:`run_reference`, which
         the property tests in ``tests/serve/test_fastpath.py`` pin over
         arbitrary fault timelines.  Replicated configs always use the
         journaled plane.  ``requests`` may be any iterable in arrival
@@ -1209,9 +1079,6 @@ class FabricService:
         self._fast = self.replication is None
         if self._fast:
             self.allocator = _CubeLedger(self.config.allocator_cubes)
-            self._digest_cache = _DigestCache(self.manager)
-            # range() is ascending, hence already a valid min-heap.
-            self._free_ports = list(range(self.config.slice_radix))
         return self._execute(requests, faults)
 
     def run_reference(
@@ -1431,25 +1298,10 @@ def replay_committed(config: ServeConfig, commit_log: Sequence[CommitEntry]) -> 
     for entry in commit_log:
         if entry.op == "retarget":
             ocs_index, north, south = entry.ints
-            state = manager.switch(OcsId(ocs_index)).state
-            if state.south_of(north) != south:
-                if state.south_of(north) is not None:
-                    state.disconnect(north)
-                other = state.north_of(south)
-                if other is not None:
-                    state.disconnect(other)
-                state.connect(north, south)
+            manager.switch(OcsId(ocs_index)).state.retarget(north, south)
         elif entry.op == "slice-alloc":
             (port,) = entry.ints
-            state = manager.switch(config.slice_ocs).state
-            expected = next(
-                (
-                    p
-                    for p in range(config.slice_radix)
-                    if state.south_of(p) is None and state.north_of(p) is None
-                ),
-                None,
-            )
+            expected = _free_slice_port(manager, config)
             if expected != port:
                 raise ServeError(
                     f"replay diverged: {entry.request_id} committed port {port} "

@@ -158,3 +158,88 @@ class TestBijectionProperty:
         m = CrossConnectMap.from_circuits(12, dict(enumerate(perm)))
         assert m.is_full_permutation()
         assert list(m.as_permutation()) == list(perm)
+
+
+def old_disconnect_then_connect(m, north, south):
+    """The move ``retarget`` replaced: free both ports, then connect."""
+    if m.south_of(north) == south:
+        return
+    if m.south_of(north) is not None:
+        m.disconnect(north)
+    other = m.north_of(south)
+    if other is not None:
+        m.disconnect(other)
+    m.connect(north, south)
+
+
+class TestMutationCounter:
+    def test_every_mutation_bumps_version(self):
+        m = CrossConnectMap(8)
+        assert m.version == 0
+        m.connect(0, 1)
+        m.connect(2, 3)
+        assert m.version == 2
+        m.disconnect(0)
+        assert m.version == 3
+        m.clear()
+        assert m.version == 4
+
+    def test_rejected_mutations_leave_version(self):
+        m = CrossConnectMap(8)
+        m.connect(0, 1)
+        for bad in (lambda: m.connect(0, 2), lambda: m.connect(3, 1),
+                    lambda: m.connect(9, 0), lambda: m.disconnect(5)):
+            with pytest.raises(CrossConnectError):
+                bad()
+        assert m.version == 1
+
+    def test_version_is_not_part_of_equality(self):
+        a = CrossConnectMap.from_circuits(8, {0: 1})
+        b = CrossConnectMap(8)
+        b.connect(0, 2)
+        b.disconnect(0)
+        b.connect(0, 1)
+        assert a == b and a.version != b.version
+
+
+class TestRetarget:
+    def test_existing_circuit_is_untouched(self):
+        m = CrossConnectMap.from_circuits(8, {0: 1, 2: 3})
+        before = m.version
+        m.retarget(0, 1)
+        assert m.version == before
+        assert m.circuits == {(0, 1), (2, 3)}
+
+    def test_frees_both_ports_then_connects(self):
+        m = CrossConnectMap.from_circuits(8, {0: 1, 2: 3})
+        m.retarget(0, 3)
+        assert m.circuits == {(0, 3)}
+
+    def test_out_of_range_changes_nothing(self):
+        m = CrossConnectMap.from_circuits(8, {0: 1})
+        with pytest.raises(CrossConnectError):
+            m.retarget(0, 8)
+        assert m.circuits == {(0, 1)}
+
+    @given(
+        # Inverting twice keeps one north per south: a partial bijection.
+        st.dictionaries(st.integers(0, 9), st.integers(0, 9)).map(
+            lambda d: {n: s for s, n in {s: n for n, s in d.items()}.items()}
+        ),
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30),
+    )
+    @settings(max_examples=200)
+    def test_matches_disconnect_then_connect_and_stays_bijective(
+        self, seed_circuits, moves
+    ):
+        m = CrossConnectMap.from_circuits(10, seed_circuits)
+        oracle = m.copy()
+        for north, south in moves:
+            before = m.version
+            existed = m.south_of(north) == south
+            m.retarget(north, south)
+            old_disconnect_then_connect(oracle, north, south)
+            assert m == oracle
+            assert m.is_bijective()
+            assert m.south_of(north) == south and m.north_of(south) == north
+            assert (m.version == before) == existed

@@ -1,6 +1,11 @@
 """Tests for repro.core.fabric_manager."""
 
+import hashlib
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.crossconnect import CrossConnectMap
 from repro.core.errors import (
@@ -9,7 +14,7 @@ from repro.core.errors import (
     PartialTransactionError,
     TopologyError,
 )
-from repro.core.fabric_manager import FabricManager, SimpleSwitch
+from repro.core.fabric_manager import FabricManager, LogicalLink, SimpleSwitch
 from repro.core.ids import LinkId, OcsId
 
 
@@ -231,3 +236,110 @@ class TestDurability:
         other.add_switch(OcsId(1), SimpleSwitch(8))
         other.switch(OcsId(0)).state.connect(0, 5)  # same circuit, no link
         assert other.state_digest() != with_link
+
+
+def from_scratch_digest(mgr):
+    """The digest definition, recomputed independently of the manager's
+    incremental caches."""
+    payload = json.dumps(mgr.checkpoint(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+#: Switch indices chosen so checkpoint key order ("0" < "10" < "2")
+#: differs from numeric order; OcsId(10) is flaky and programs last.
+DIGEST_SWITCHES = (0, 2, 10)
+RADIX = 6
+
+digest_ops = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "connect", "disconnect", "clear", "retarget", "establish",
+            "adopt_link", "teardown", "reconfigure", "reconfigure_fail",
+            "checkpoint", "restore", "replace_links", "drop_stale_links",
+            "add_switch", "digest",
+        ]),
+        st.sampled_from(DIGEST_SWITCHES),
+        st.integers(0, RADIX - 1),
+        st.integers(0, RADIX - 1),
+        st.integers(0, 3),
+    ),
+    max_size=40,
+)
+
+
+class TestIncrementalDigest:
+    @given(ops=digest_ops)
+    @settings(max_examples=200, deadline=None)
+    def test_every_mutator_keeps_digest_equal_to_from_scratch_hash(self, ops):
+        mgr = FabricManager()
+        for index in DIGEST_SWITCHES:
+            switch = FlakySwitch(RADIX) if index == 10 else SimpleSwitch(RADIX)
+            mgr.add_switch(OcsId(index), switch)
+        snapshots = [mgr.checkpoint()]
+        extra = 3
+        assert mgr.state_digest() == from_scratch_digest(mgr)
+        for op, index, north, south, k in ops:
+            ocs = OcsId(index)
+            state = mgr.switch(ocs).state
+            link = LinkId(f"l{k}")
+            try:
+                if op == "connect":
+                    state.connect(north, south)
+                elif op == "disconnect":
+                    state.disconnect(north)
+                elif op == "clear":
+                    state.clear()
+                elif op == "retarget":
+                    state.retarget(north, south)
+                elif op == "establish":
+                    mgr.establish(link, ocs, north, south)
+                elif op == "adopt_link":
+                    current = state.south_of(north)
+                    target = south if current is None else current
+                    mgr.adopt_link(link, ocs, north, target)
+                elif op == "teardown":
+                    mgr.teardown(link)
+                elif op in ("reconfigure", "reconfigure_fail"):
+                    targets = {}
+                    for other in (ocs, OcsId(10)):
+                        target = mgr.switch(other).state.copy()
+                        target.retarget(north, south)
+                        targets[other] = target
+                    mgr.switch(OcsId(10)).fail_next = op == "reconfigure_fail"
+                    mgr.reconfigure(targets)
+                elif op == "checkpoint":
+                    snapshots.append(mgr.checkpoint())
+                elif op == "restore":
+                    mgr.restore(snapshots[k % len(snapshots)])
+                elif op == "replace_links":
+                    kept = mgr.links[: k]
+                    mgr.replace_links(
+                        kept + (LogicalLink(LinkId(f"r{k}"), ocs, north, south),)
+                    )
+                elif op == "drop_stale_links":
+                    mgr.drop_stale_links()
+                elif op == "add_switch":
+                    mgr.add_switch(OcsId(extra), SimpleSwitch(RADIX))
+                    mgr.switch(OcsId(extra)).state.connect(north, south)
+                    extra += 1
+            except (ConfigurationError, CrossConnectError, PartialTransactionError,
+                    TopologyError):
+                pass
+            finally:
+                mgr.switch(OcsId(10)).fail_next = False
+            assert mgr.state_digest() == from_scratch_digest(mgr)
+            # A second call hits the memoized digest and must agree too.
+            assert mgr.state_digest() == from_scratch_digest(mgr)
+
+    def test_unchanged_fabric_reuses_digest_and_fragments(self):
+        mgr = FabricManager()
+        mgr.add_switch(OcsId(0), SimpleSwitch(8))
+        mgr.add_switch(OcsId(1), SimpleSwitch(8))
+        mgr.establish(LinkId("x"), OcsId(0), 0, 5)
+        first = mgr.state_digest()
+        fragment = mgr._switch_json[1]
+        mgr.switch(OcsId(0)).state.retarget(0, 5)  # already there: no bump
+        assert mgr.state_digest() is first
+        mgr.switch(OcsId(0)).state.connect(1, 1)
+        assert mgr.state_digest() == from_scratch_digest(mgr) != first
+        assert mgr._switch_json[1] is fragment

@@ -1,8 +1,9 @@
 """The fast serving path is a bit-exact twin of ``run_reference``.
 
-PR 10 rebuilt ``FabricService.run`` (indexed calendar, delta commit
-plane, digest cache, streaming sink) with the old loop kept as
-``run_reference``.  These tests pin the equivalence the rebuild claims:
+``FabricService.run`` (indexed event calendar, delta commit plane,
+streaming sink) is a rebuild of the serving loop, with the old loop kept
+as ``run_reference``.  These tests pin the equivalence the rebuild
+claims:
 
 - for *any* injected fault timeline, the fast path and the reference
   produce identical outcome digests, state digests, commit logs, and
@@ -11,11 +12,16 @@ plane, digest cache, streaming sink) with the old loop kept as
 - the streaming sink's reorder window stays bounded by in-flight work
   (the flat-memory contract), and its digest equals the full-record
   one;
-- the ``_DigestCache`` answer equals ``FabricManager.state_digest()``
-  after slice allocs/releases have churned the link table;
+- the report's ``state_digest`` -- served by the core manager's
+  incremental digest after slice allocs/releases and retargets have
+  churned switch state and the link table -- equals a from-scratch hash
+  of ``checkpoint()``;
 - the sharded drill merges to byte-identical summaries for any worker
   count.
 """
+
+import hashlib
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,10 +115,12 @@ def test_streaming_sink_matches_full_records_and_stays_flat(events, seed):
 @given(events=fault_events, seed=st.integers(min_value=0, max_value=50))
 def test_digest_cache_equals_manager_digest(events, seed):
     service, report = _small_run(events, seed, reference=False)
-    cache = service._digest_cache
-    assert cache is not None
-    assert cache.digest() == service.manager.state_digest()
-    assert report.state_digest == service.manager.state_digest()
+    payload = json.dumps(
+        service.manager.checkpoint(), sort_keys=True, separators=(",", ":")
+    )
+    from_scratch = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    assert report.state_digest == from_scratch
+    assert service.manager.state_digest() == from_scratch
 
 
 def test_peak_pending_saturates_independent_of_request_count():
