@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Chaos drill: inject the paper's failure modes and watch the fabric cope.
 
-Runs the four ``repro.faults.chaos`` scenarios end-to-end:
+Runs the six ``repro.faults.chaos`` scenarios end-to-end:
 
 1. ``single_ocs_loss`` -- one OCS down in a 4096-chip superpod; the
    degraded-routing step-time hit is cross-checked against the analytic
@@ -13,19 +13,24 @@ Runs the four ``repro.faults.chaos`` scenarios end-to-end:
 3. ``rolling_transceiver_flaps`` -- a rolling wave of transceiver flaps
    and the time-weighted link availability it costs;
 4. ``repair_race`` -- fiber pinches racing the telemetry repair loop
-   until the spare pool runs dry and ``CapacityError`` surfaces.
+   until the spare pool runs dry and ``CapacityError`` surfaces;
+5. ``controller_crash_recovery`` -- the durable controller killed at
+   every WAL offset of a reconfiguration, recovered and reconciled;
+6. ``partition_failover`` -- the replicated control plane under a
+   rolling crash / partition / clock-skew storm.
 
 Every run is a pure function of the seed: the report digests printed at
 the end are byte-stable and guard the determinism tests.
 
 Run: ``python examples/chaos_drill.py`` (full single-OCS horizon), or
-``python examples/chaos_drill.py --smoke`` for the <30s CI drill.
+``python examples/chaos_drill.py --smoke`` for the <30s CI drill.  The
+gated form of the same run is ``python -m repro.tools.noc run chaos``.
 """
 
 import argparse
 
 from repro.analysis.tables import render_table
-from repro.faults.chaos import SMOKE_KWARGS, run_scenario, run_smoke
+from repro.faults.chaos import run_chaos_drill
 
 
 def describe(report) -> None:
@@ -43,18 +48,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    if args.smoke:
-        reports = run_smoke(seed=args.seed)
-    else:
-        reports = {
-            name: run_scenario(
-                name,
-                seed=args.seed,
-                **({} if name == "single_ocs_loss" else SMOKE_KWARGS[name]),
-            )
-            for name in sorted(SMOKE_KWARGS)
-        }
-
+    reports = run_chaos_drill(seed=args.seed, smoke=args.smoke)["reports"]
     for name in sorted(reports):
         describe(reports[name])
 

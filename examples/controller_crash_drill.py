@@ -15,8 +15,9 @@ investment, made runnable):
 5. demo the fleet health watchdog: a flapping transceiver is damped,
    quarantined onto a spare, and released after the hold-down.
 
-Run: ``python examples/controller_crash_drill.py`` (finishes in seconds;
-this is also the CI recovery smoke drill).
+Run: ``python examples/controller_crash_drill.py`` (finishes in seconds).
+CI gates the same sweep through ``python -m repro.tools.noc run chaos``,
+whose ``chaos_crash_*`` SLOs fail on any unrecovered crash.
 """
 
 from repro.analysis.tables import render_table

@@ -14,7 +14,7 @@ would sit on top of:
 4. the headline SLOs checked against the committed thresholds.
 
 Run: ``python examples/fabric_observatory.py`` (finishes in seconds).
-The full report is ``python -m repro.tools.noc``.
+The full report is ``python -m repro.tools.noc run fabric``.
 """
 
 from repro.analysis.tables import render_table

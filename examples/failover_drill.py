@@ -28,7 +28,8 @@ Run: ``python examples/failover_drill.py [--seed N] [--full]
 import argparse
 
 from repro.analysis.tables import render_table
-from repro.serve.drill import failover_slos, run_failover_drill
+from repro.serve.drill import run_failover_drill
+from repro.tools.noc import scenario_slos
 
 
 def main() -> None:
@@ -82,7 +83,7 @@ def main() -> None:
           f"/ {summary['shed']}")
 
     print("\nSLOs (as the CI gate sees them):")
-    for name, value in sorted(failover_slos(summary).items()):
+    for name, value in sorted(scenario_slos("failover", summary).items()):
         print(f"  {name}: {value:.4f}")
 
     print("\nSame seed, same bytes: rerun with the same --seed and every "

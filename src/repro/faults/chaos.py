@@ -1034,9 +1034,31 @@ def run_scenario(name: str, seed: int = 0, **kwargs) -> ChaosReport:
     return scenario(seed=seed, **kwargs)
 
 
-def run_smoke(seed: int = 0) -> Dict[str, ChaosReport]:
-    """Run every scenario with its fast smoke parameters (for CI)."""
-    return {
-        name: run_scenario(name, seed=seed, **SMOKE_KWARGS[name])
+def run_chaos_drill(seed: int = 0, smoke: bool = True) -> Dict[str, object]:
+    """Every scenario once, at its fast CI parameters -- except that
+    without ``smoke`` ``single_ocs_loss`` runs its full horizon.  The
+    summary carries each report's digest and five safety SLOs that read
+    0 on a healthy fabric."""
+    reports = {
+        name: run_scenario(name, seed=seed, **(
+            {} if name == "single_ocs_loss" and not smoke else SMOKE_KWARGS[name]
+        ))
         for name in sorted(SCENARIOS)
     }
+    crash = reports["controller_crash_recovery"].metrics
+    partition = reports["partition_failover"].metrics
+    summary: Dict[str, object] = {
+        "seed": seed,
+        "smoke": smoke,
+        "digests": {name: report.digest() for name, report in reports.items()},
+        "chaos_crash_unrecovered": crash["crash_points"] - crash["recoveries_ok"],
+        "chaos_crash_unconverged": (
+            crash["crash_points"] - crash["reconciles_converged"]
+        ),
+        "chaos_crash_nondeterministic": (
+            1.0 - crash["deterministic"] * crash["forward_matches_committed"]
+        ),
+        "chaos_partition_ops_lost": partition["committed_ops_lost"],
+        "chaos_partition_digest_mismatch": 1.0 - partition["digest_match"],
+    }
+    return {"summary": summary, "reports": reports}

@@ -15,7 +15,7 @@ reports through:
 - :mod:`repro.obs.timeseries` -- the streaming windowed-aggregation
   pipeline over timestamped samples (the digital twin's substrate);
 - :mod:`repro.obs.drill` -- the seeded, fully-instrumented chaos drill
-  behind ``python -m repro.tools.noc``.
+  behind ``python -m repro.tools.noc run fabric``.
 
 Instrumented code takes an optional :class:`Observability` bundle and
 defaults to :data:`NULL_OBS`, whose tracer/registry/clock are shared

@@ -9,7 +9,7 @@ flap damping and quarantine, telemetry loss drift, a fleet BER sweep,
 and a scheduling run.  Every phase lands spans on the shared tracer and
 counters on the shared registry, so the resulting
 :class:`DrillReport` is the one-stop input for the NOC report
-(``python -m repro.tools.noc``) and for the tracing-determinism tests:
+(``python -m repro.tools.noc run fabric``) and for the tracing-determinism tests:
 with a fixed seed the span tree and metric snapshot are byte-stable.
 """
 

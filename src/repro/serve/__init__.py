@@ -25,7 +25,6 @@ from repro.serve.brownout import BrownoutController
 from repro.serve.drill import (
     build_failover_timeline,
     drill_config,
-    failover_slos,
     merge_cell_results,
     run_failover_drill,
     run_serve_drill,
@@ -78,7 +77,6 @@ __all__ = [
     "build_failover_timeline",
     "build_serve_manager",
     "drill_config",
-    "failover_slos",
     "merge_cell_results",
     "outcomes_digest",
     "replay_committed",

@@ -497,52 +497,24 @@ def run_failover_drill(
     }
 
 
-def report_jsonl_lines(report) -> List[str]:
-    """Per-request JSONL lines (the CI artifact)."""
-    import json
-
-    lines = []
-    for record in report.records:
-        request = record.request
-        lines.append(
-            json.dumps(
-                {
-                    "seq": request.seq,
-                    "id": request.request_id,
-                    "tenant": request.tenant,
-                    "kind": request.kind.value,
-                    "arrival_s": round(request.arrival_s, 9),
-                    "deadline_s": round(request.deadline_s, 9),
-                    "outcome": record.outcome.value,
-                    "finish_s": round(record.finish_s, 9),
-                    "latency_ms": round(record.latency_ms, 6),
-                    "attempts": record.attempts,
-                    "detail": record.detail,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    return lines
-
-
-def drill_slos(summary: Dict[str, object]) -> Dict[str, float]:
-    """The serve SLOs in the shape the NOC / CI gate consumes."""
-    return {
-        "serve_p99_ms": float(summary["serve_p99_ms"]),
-        "serve_shed_rate": float(summary["serve_shed_rate"]),
-        "serve_retry_amplification": float(summary["serve_retry_amplification"]),
-    }
-
-
-def failover_slos(summary: Dict[str, object]) -> Dict[str, float]:
-    """The failover-drill SLOs (``check_slos`` bounds are upper bounds,
-    so availability is gated as unavailability)."""
-    return {
-        "failover_p99_s": float(summary["failover_p99_s"]),
-        "committed_ops_lost": float(summary["committed_ops_lost"]),
-        "failover_unavailability": float(summary["failover_unavailability"]),
-    }
+def report_records(report) -> List[Dict[str, object]]:
+    """One record per request (the ``requests.jsonl`` artifact)."""
+    return [
+        {
+            "seq": record.request.seq,
+            "id": record.request.request_id,
+            "tenant": record.request.tenant,
+            "kind": record.request.kind.value,
+            "arrival_s": round(record.request.arrival_s, 9),
+            "deadline_s": round(record.request.deadline_s, 9),
+            "outcome": record.outcome.value,
+            "finish_s": round(record.finish_s, 9),
+            "latency_ms": round(record.latency_ms, 6),
+            "attempts": record.attempts,
+            "detail": record.detail,
+        }
+        for record in report.records
+    ]
 
 
 __all__ = [
@@ -553,9 +525,7 @@ __all__ = [
     "run_serve_drill",
     "run_serve_drill_sharded",
     "run_failover_drill",
-    "report_jsonl_lines",
+    "report_records",
     "shard_cell_config",
-    "drill_slos",
-    "failover_slos",
     "Outcome",
 ]

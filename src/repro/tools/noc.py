@@ -1,38 +1,44 @@
-"""Fleet NOC report: the observability subsystem on one screen.
+"""Fleet NOC: one runner for every seeded drill.
 
-``python -m repro.tools.noc`` runs the observed fabric drill
-(:func:`repro.obs.drill.run_fabric_drill`), then renders what a network
-operations center would watch: the metric snapshot, the slowest spans,
-per-OCS telemetry summaries, quarantine state, and an SLO section
-checked against the committed thresholds in
-``benchmarks/slo_thresholds.json``.  With ``--check`` an SLO regression
-exits non-zero (the CI gate); ``--trace-out`` / ``--metrics-out`` export
-the run's spans and metrics as JSONL for offline queries.
+``python -m repro.tools.noc run <scenario> [--seed N] [--smoke] [--check]
+[--thresholds PATH] [--out-dir DIR]`` runs one entry of :data:`SCENARIOS`
+(``fabric``, ``serve``, ``failover``, ``twin``, ``chaos``) and renders
+its report; ``fabric`` is the fleet NOC view of the observed fabric
+drill (metric snapshot, slowest spans, per-OCS telemetry, quarantine).
 
-``python -m repro.tools.noc twin`` runs the predictive digital-twin
-drill instead (:func:`repro.twin.drill.run_twin_drill`): record a fleet
-timeline, train the availability forecaster on a chaos ensemble, and
-what-if-replay candidate policies, rendering the forecast scorecard and
-per-policy predicted SLO deltas.  ``--timeline-out`` / ``--plans-out`` /
-``--aggregates-out`` write the JSONL artifacts; ``--check`` gates the
-``twin_*`` thresholds (forecast coverage, forecast skill, replay
-divergence).
+Every scenario takes the same path.  Its SLOs are the summary values it
+declares, checked against the committed ``benchmarks/slo_thresholds.json``.
+``--smoke`` runs the small drill twice and requires identical summaries.
+``--out-dir`` receives ``summary.json`` plus the scenario's JSONL
+artifacts.  With ``--check`` an SLO over its limit or without one, an
+unreadable thresholds file, or a nondeterministic smoke run exits 1
+(the CI gate).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.tables import render_table
+from repro.faults.chaos import run_chaos_drill
 from repro.obs.drill import DrillReport, run_fabric_drill
-from repro.obs.export import export_metrics, export_trace
+from repro.obs.export import export_metrics, export_trace, write_jsonl
+from repro.serve.drill import report_records, run_failover_drill, run_serve_drill
+from repro.twin.drill import run_twin_drill
 
 #: Default location of the committed SLO thresholds (repo root relative).
 DEFAULT_THRESHOLDS = Path(__file__).resolve().parents[3] / "benchmarks" / "slo_thresholds.json"
+
+#: Slowest spans shown in the fabric report.
+TOP_SPANS = 10
+
+Result = Dict[str, object]
+SloRow = Tuple[str, float, float, bool]
 
 
 def _split_series(series: str) -> Tuple[str, Dict[str, str]]:
@@ -82,15 +88,15 @@ def compute_slos(report: DrillReport) -> Dict[str, float]:
 
 
 def check_slos(
-    slos: Dict[str, float], thresholds: Dict[str, float]
-) -> List[Tuple[str, float, float, bool]]:
-    """(slo, value, max allowed, ok) per threshold; unknown SLOs fail."""
+    slos: Dict[str, float], thresholds: Mapping[str, object]
+) -> List[SloRow]:
+    """(slo, value, max allowed, ok) per SLO.  An SLO without a committed
+    threshold gets a NaN limit, which no value meets: it fails."""
     rows = []
-    for name in sorted(thresholds):
-        limit = float(thresholds[name])
-        value = slos.get(name)
-        rows.append((name, value if value is not None else float("nan"),
-                     limit, value is not None and value <= limit))
+    for name in sorted(slos):
+        limit = thresholds.get(name)
+        limit = float("nan") if limit is None else float(limit)  # type: ignore[arg-type]
+        rows.append((name, slos[name], limit, slos[name] <= limit))
     return rows
 
 
@@ -99,7 +105,34 @@ def _section(title: str) -> None:
     print(f"== {title} " + "=" * max(0, 60 - len(title)))
 
 
-def render_report(report: DrillReport, slo_rows, top: int) -> None:
+def _slo_section(title: str, slo_rows: List[SloRow]) -> None:
+    _section(title)
+    print(render_table(
+        ["slo", "value", "max allowed", "status"],
+        [[name, f"{value:.4f}", f"{limit:.4f}",
+          "ok" if ok else "NO THRESHOLD" if math.isnan(limit) else "REGRESSED"]
+         for name, value, limit, ok in slo_rows],
+    ))
+
+
+def render_summary(result: Result, slo_rows: List[SloRow]) -> None:
+    print(json.dumps(result["summary"], indent=2, sort_keys=True))
+    _slo_section("SLOs", slo_rows)
+
+
+def render_chaos_report(result: Result, slo_rows: List[SloRow]) -> None:
+    summary: Dict[str, object] = result["summary"]  # type: ignore[assignment]
+    print(f"CHAOS REPORT  seed={summary['seed']}"
+          f"  mode={'smoke' if summary['smoke'] else 'full'}")
+    for name, report in sorted(result["reports"].items()):  # type: ignore[union-attr]
+        _section(f"{name}  digest {report.digest()[:16]}")
+        rows = [[k, f"{v:.6g}"] for k, v in sorted(report.metrics.items())]
+        rows.append(["mean goodput", f"{report.mean_goodput():.4f}"])
+        print(render_table(["metric", "value"], rows))
+    _slo_section("Chaos SLOs", slo_rows)
+
+
+def render_report(report: DrillReport, slo_rows: List[SloRow]) -> None:
     tracer, registry = report.obs.tracer, report.obs.metrics
     trace_digest, metrics_digest = report.digests()
     print(f"FLEET NOC REPORT  seed={report.seed}"
@@ -109,49 +142,31 @@ def render_report(report: DrillReport, slo_rows, top: int) -> None:
     print(f"trace digest   {trace_digest}")
     print(f"metrics digest {metrics_digest}")
 
-    _section("SLOs")
-    print(render_table(
-        ["slo", "value", "max allowed", "status"],
-        [[name, f"{value:.4f}", f"{limit:.4f}", "ok" if ok else "REGRESSED"]
-         for name, value, limit, ok in slo_rows],
-    ))
+    _slo_section("SLOs", slo_rows)
 
-    _section(f"Slowest spans (top {top})")
+    _section(f"Slowest spans (top {TOP_SPANS})")
     print(render_table(
         ["span", "duration (ms)", "start (ms)", "attrs"],
         [[s.name, f"{s.duration_ms:.1f}", f"{s.start_ms:.1f}",
           ",".join(f"{k}={v}" for k, v in s.attrs) or "-"]
-         for s in tracer.slowest(top)],
+         for s in tracer.slowest(TOP_SPANS)],
     ))
 
     _section("Per-OCS telemetry")
-    per_ocs: Dict[str, Dict[str, float]] = {}
-    for record in registry.to_records():
-        if record["type"] != "counter":
-            continue
-        name, labels = _split_series(str(record["series"]))
-        ocs = labels.get("ocs")
-        if ocs is None or not name.startswith("ocs."):
-            continue
-        per_ocs.setdefault(ocs, {})
-        per_ocs[ocs][name] = per_ocs[ocs].get(name, 0.0) + float(record["value"])
+    ocses = {dict(c.labels).get("ocs") for c in registry.counters()
+             if c.name.startswith("ocs.")} - {None}
     print(render_table(
         ["ocs", "connects", "reconfigs", "disturbed", "loss obs", "anomalies"],
-        [[ocs,
-          f"{row.get('ocs.circuit.connect', 0):.0f}",
-          f"{row.get('ocs.reconfig.transactions', 0):.0f}",
-          f"{row.get('ocs.reconfig.circuits_disturbed', 0):.0f}",
-          f"{row.get('ocs.loss.observations', 0):.0f}",
-          f"{row.get('ocs.anomaly.fired', 0):.0f}"]
-         for ocs, row in sorted(per_ocs.items())],
+        [[ocs, *(f"{registry.sum_counters(name, ocs=ocs):.0f}" for name in (
+            "ocs.circuit.connect", "ocs.reconfig.transactions",
+            "ocs.reconfig.circuits_disturbed", "ocs.loss.observations",
+            "ocs.anomaly.fired"))]
+         for ocs in sorted(ocses)],  # type: ignore[type-var]
     ))
 
     _section("Quarantine / health")
-    actions = {}
-    for record in registry.to_records():
-        name, labels = _split_series(str(record["series"]))
-        if name == "health.actions":
-            actions[labels.get("action", "?")] = float(record["value"])
+    actions = {dict(c.labels).get("action", "?"): c.value
+               for c in registry.counters("health.actions")}
     held_out = registry.value("health.held_out.fraction")
     if actions:
         print(render_table(
@@ -182,7 +197,7 @@ def render_report(report: DrillReport, slo_rows, top: int) -> None:
     print(render_table(["series", "count", "p50", "p99", "max"], hist_rows))
 
 
-def render_twin_report(out: Dict[str, object], slo_rows) -> None:
+def render_twin_report(out: Result, slo_rows: List[SloRow]) -> None:
     summary: Dict[str, object] = out["summary"]  # type: ignore[assignment]
     forecast: Dict[str, float] = summary["forecast"]  # type: ignore[assignment]
     print(f"DIGITAL TWIN REPORT  seed={summary['seed']}"
@@ -193,12 +208,7 @@ def render_twin_report(out: Dict[str, object], slo_rows) -> None:
     print(f"timeline digest   {summary['timeline_digest']}")
     print(f"aggregates digest {summary['aggregates_digest']}")
 
-    _section("Twin SLOs")
-    print(render_table(
-        ["slo", "value", "max allowed", "status"],
-        [[name, f"{value:.4f}", f"{limit:.4f}", "ok" if ok else "REGRESSED"]
-         for name, value, limit, ok in slo_rows],
-    ))
+    _slo_section("Twin SLOs", slo_rows)
 
     _section("Availability forecast (held-out chaos ensemble)")
     print(render_table(
@@ -232,129 +242,147 @@ def render_twin_report(out: Dict[str, object], slo_rows) -> None:
     ))
 
 
-def twin_main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.tools.noc twin",
-        description="predictive digital-twin drill: forecast + what-if SLO planning",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="drill seed")
-    parser.add_argument("--smoke", action="store_true",
-                        help="small fast drill (the CI parameterization)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 if any twin SLO exceeds its threshold")
-    parser.add_argument("--thresholds", type=Path, default=DEFAULT_THRESHOLDS,
-                        help="SLO thresholds JSON (twin_* keys gate)")
-    parser.add_argument("--timeline-out", type=Path, default=None,
-                        help="write the recorded fleet timeline as JSONL")
-    parser.add_argument("--plans-out", type=Path, default=None,
-                        help="write the what-if plan reports as JSONL")
-    parser.add_argument("--aggregates-out", type=Path, default=None,
-                        help="write the windowed aggregates as JSONL")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable summary instead of tables")
-    args = parser.parse_args(argv)
+class Scenario(NamedTuple):
+    """One drill: its run function, the summary values it gates, its
+    JSONL artifact writers by file name, and its on-screen report."""
 
-    from repro.obs import Observability
-    from repro.obs.export import write_jsonl
-    from repro.twin.drill import run_twin_drill, twin_slos
+    run: Callable[[int, bool], Result]
+    slos: Tuple[str, ...]
+    artifacts: Dict[str, Callable[[Result, Path], object]]
+    render: Callable[[Result, List[SloRow]], None]
 
-    obs = Observability.sim()
-    out = run_twin_drill(seed=args.seed, smoke=args.smoke, obs=obs)
-    summary: Dict[str, object] = out["summary"]  # type: ignore[assignment]
 
-    thresholds: Dict[str, float] = {}
-    if args.thresholds.exists():
-        thresholds = json.loads(args.thresholds.read_text())
-    twin_thresholds = {
-        name: limit for name, limit in thresholds.items()
-        if name.startswith("twin_")
+def _run_fabric(seed: int, smoke: bool) -> Result:
+    report = run_fabric_drill(seed=seed, smoke=smoke)
+    trace_digest, metrics_digest = report.digests()
+    summary: Dict[str, object] = {
+        "seed": seed,
+        "smoke": smoke,
+        "notes": report.notes,
+        "num_spans": report.obs.tracer.num_spans,
+        "num_series": report.obs.metrics.num_series,
+        "trace_digest": trace_digest,
+        "metrics_digest": metrics_digest,
+        **compute_slos(report),
     }
-    slo_rows = check_slos(twin_slos(summary), twin_thresholds)
+    return {"summary": summary, "report": report}
 
-    timeline = out["timeline"]
-    if args.timeline_out is not None:
-        write_jsonl(args.timeline_out, timeline.to_records())
-    if args.plans_out is not None:
-        write_jsonl(args.plans_out, [p.to_record() for p in out["plans"]])
-    if args.aggregates_out is not None:
-        write_jsonl(args.aggregates_out, out["aggregates"])
 
-    if args.json:
-        print(json.dumps({
-            **{k: v for k, v in summary.items()},
-            "slo_ok": all(ok for *_, ok in slo_rows),
-            "plans": [p.to_record() for p in out["plans"]],
-        }, indent=2, sort_keys=True))
-    else:
-        render_twin_report(out, slo_rows)
+def _fabric_export(export, attr: str):
+    """Artifact writer for one observability stream of the fabric drill."""
+    return lambda r, path: export(
+        path, getattr(r["report"].obs, attr),
+        seed=r["report"].seed, smoke=r["report"].smoke,
+    )
 
-    if args.check and not all(ok for *_, ok in slo_rows):
-        print("TWIN SLO REGRESSION: one or more twin SLOs exceed their "
-              "thresholds", file=sys.stderr)
-        return 1
-    return 0
+
+def _requests(result: Result, path: Path) -> Path:
+    return write_jsonl(path, report_records(result["report"]))
+
+
+SERVE_SLOS = ("serve_p99_ms", "serve_shed_rate", "serve_retry_amplification")
+#: Gate bounds are upper bounds, so availability is gated as unavailability.
+FAILOVER_SLOS = ("failover_p99_s", "committed_ops_lost", "failover_unavailability")
+TWIN_SLOS = (
+    "twin_forecast_miss_rate", "twin_forecast_mae_excess", "twin_plan_divergence",
+)
+
+SCENARIOS: Dict[str, Scenario] = {
+    # The fabric drill runs the serve, failover and twin drills as phases
+    # and republishes their SLOs from its own registry.
+    "fabric": Scenario(
+        _run_fabric,
+        ("reconfig_p99_ms", "recovery_p99_ms", "ber_anomaly_rate",
+         "sweep_cache_miss_rate", "sweep_chunk_p99_ms")
+        + SERVE_SLOS + FAILOVER_SLOS + TWIN_SLOS,
+        {"trace.jsonl": _fabric_export(export_trace, "tracer"),
+         "metrics.jsonl": _fabric_export(export_metrics, "metrics")},
+        lambda r, rows: render_report(r["report"], rows),
+    ),
+    "serve": Scenario(
+        run_serve_drill, SERVE_SLOS, {"requests.jsonl": _requests}, render_summary,
+    ),
+    "failover": Scenario(
+        run_failover_drill, FAILOVER_SLOS, {"requests.jsonl": _requests},
+        render_summary,
+    ),
+    "twin": Scenario(
+        run_twin_drill,
+        TWIN_SLOS,
+        {"timeline.jsonl": lambda r, path: write_jsonl(path, r["timeline"].to_records()),
+         "plans.jsonl": lambda r, path: write_jsonl(
+             path, [plan.to_record() for plan in r["plans"]]),
+         "aggregates.jsonl": lambda r, path: write_jsonl(path, r["aggregates"])},
+        render_twin_report,
+    ),
+    "chaos": Scenario(
+        run_chaos_drill,
+        ("chaos_crash_unrecovered", "chaos_crash_unconverged",
+         "chaos_crash_nondeterministic", "chaos_partition_ops_lost",
+         "chaos_partition_digest_mismatch"),
+        {},
+        render_chaos_report,
+    ),
+}
+
+
+def scenario_slos(name: str, summary: Dict[str, object]) -> Dict[str, float]:
+    """The SLO values scenario ``name`` gates, read off its summary."""
+    return {slo: float(summary[slo]) for slo in SCENARIOS[name].slos}  # type: ignore[arg-type]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "twin":
-        return twin_main(list(argv[1:]))
     parser = argparse.ArgumentParser(
-        prog="python -m repro.tools.noc", description=__doc__
+        prog="python -m repro.tools.noc", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--seed", type=int, default=0, help="drill seed")
-    parser.add_argument("--smoke", action="store_true",
-                        help="small fast drill (the CI parameterization)")
-    parser.add_argument("--top", type=int, default=10,
-                        help="slowest spans to show")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 if any SLO exceeds its threshold")
-    parser.add_argument("--thresholds", type=Path, default=DEFAULT_THRESHOLDS,
-                        help="SLO thresholds JSON")
-    parser.add_argument("--trace-out", type=Path, default=None,
-                        help="write the span tree as JSONL")
-    parser.add_argument("--metrics-out", type=Path, default=None,
-                        help="write the metric snapshot as JSONL")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable summary instead of tables")
+    run = parser.add_subparsers(dest="command", required=True).add_parser(
+        "run", help="run one drill scenario")
+    run.add_argument("scenario", choices=sorted(SCENARIOS))
+    run.add_argument("--seed", type=int, default=0, help="drill seed")
+    run.add_argument("--smoke", action="store_true",
+                     help="small drill, run twice to prove determinism (CI)")
+    run.add_argument("--check", action="store_true",
+                     help="exit 1 on any failed SLO or nondeterminism")
+    run.add_argument("--thresholds", type=Path, default=DEFAULT_THRESHOLDS,
+                     help="committed SLO thresholds JSON")
+    run.add_argument("--out-dir", type=Path, default=None,
+                     help="write summary.json and the JSONL artifacts here")
     args = parser.parse_args(argv)
 
-    report = run_fabric_drill(seed=args.seed, smoke=args.smoke)
-    slos = compute_slos(report)
-    thresholds: Dict[str, float] = {}
-    if args.thresholds.exists():
+    scenario = SCENARIOS[args.scenario]
+    result = scenario.run(args.seed, args.smoke)
+    summary = result["summary"]
+    deterministic: Optional[bool] = None
+    if args.smoke:
+        # Cheap enough to prove, so prove it: same seed, same summary.
+        deterministic = scenario.run(args.seed, args.smoke)["summary"] == summary
+    slos = scenario_slos(args.scenario, summary)  # type: ignore[arg-type]
+    try:
         thresholds = json.loads(args.thresholds.read_text())
+    except (OSError, ValueError) as err:
+        print(f"SLO THRESHOLDS UNREADABLE: {err}", file=sys.stderr)
+        thresholds = {}
     slo_rows = check_slos(slos, thresholds)
+    slo_ok = all(ok for *_, ok in slo_rows)
 
-    if args.trace_out is not None:
-        export_trace(args.trace_out, report.obs.tracer,
-                     seed=report.seed, smoke=report.smoke)
-    if args.metrics_out is not None:
-        export_metrics(args.metrics_out, report.obs.metrics,
-                       seed=report.seed, smoke=report.smoke)
+    if args.out_dir is not None:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        (args.out_dir / "summary.json").write_text(json.dumps({
+            "summary": summary, "slos": slos, "slo_ok": slo_ok,
+            "deterministic": deterministic,
+        }, indent=2, sort_keys=True) + "\n")
+        for filename, write in scenario.artifacts.items():
+            write(result, args.out_dir / filename)
 
-    if args.json:
-        trace_digest, metrics_digest = report.digests()
-        print(json.dumps({
-            "seed": report.seed,
-            "smoke": report.smoke,
-            "slos": slos,
-            "slo_ok": all(ok for *_, ok in slo_rows),
-            "notes": report.notes,
-            "num_spans": report.obs.tracer.num_spans,
-            "num_series": report.obs.metrics.num_series,
-            "trace_digest": trace_digest,
-            "metrics_digest": metrics_digest,
-        }, indent=2, sort_keys=True))
-    else:
-        render_report(report, slo_rows, top=args.top)
-
-    if args.check and not all(ok for *_, ok in slo_rows):
-        print("SLO REGRESSION: one or more SLOs exceed their thresholds",
+    scenario.render(result, slo_rows)
+    if not slo_ok:
+        print("SLO REGRESSION: one or more SLOs exceed or lack their "
+              f"thresholds in {args.thresholds}", file=sys.stderr)
+    if deterministic is False:
+        print("NONDETERMINISM: same seed produced a different summary",
               file=sys.stderr)
-        return 1
-    return 0
+    return 1 if args.check and (not slo_ok or deterministic is False) else 0
 
 
 if __name__ == "__main__":

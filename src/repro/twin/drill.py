@@ -17,7 +17,7 @@ digital-twin item describes:
    ``twin.forecast.mae_excess``, ``twin.plan.divergence``) on the shared
    registry for the NOC / CI thresholds.
 
-``python -m repro.tools.noc twin`` renders the result; the ``twin``
+``python -m repro.tools.noc run twin`` renders the result; the ``twin``
 phase of :func:`repro.obs.drill.run_fabric_drill` republishes the
 gauges into the fleet NOC gate.
 """
@@ -146,19 +146,9 @@ def run_twin_drill(
     }
 
 
-def twin_slos(summary: Dict[str, object]) -> Dict[str, float]:
-    """The twin SLOs in the shape the NOC / CI gate consumes."""
-    return {
-        "twin_forecast_miss_rate": float(summary["twin_forecast_miss_rate"]),  # type: ignore[arg-type]
-        "twin_forecast_mae_excess": float(summary["twin_forecast_mae_excess"]),  # type: ignore[arg-type]
-        "twin_plan_divergence": float(summary["twin_plan_divergence"]),  # type: ignore[arg-type]
-    }
-
-
 __all__ = [
     "DEFAULT_POLICIES",
     "ENSEMBLE_KWARGS",
     "ENSEMBLE_SCENARIO",
     "run_twin_drill",
-    "twin_slos",
 ]

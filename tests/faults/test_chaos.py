@@ -1,5 +1,7 @@
 """Tests for repro.faults.chaos (scenarios + cross-layer acceptance checks)."""
 
+import dataclasses
+
 import pytest
 
 from repro.availability.model import fabric_availability
@@ -12,8 +14,8 @@ from repro.faults.chaos import (
     partition_failover,
     repair_race,
     rolling_transceiver_flaps,
+    run_chaos_drill,
     run_scenario,
-    run_smoke,
     single_ocs_loss,
 )
 from repro.ml.models import LLM_ZOO
@@ -211,8 +213,39 @@ class TestRegistry:
             run_scenario("nope")
 
     def test_smoke_runs_everything(self):
-        reports = run_smoke(seed=0)
+        reports = run_chaos_drill(seed=0)["reports"]
         assert set(reports) == set(SCENARIOS)
         for name, report in reports.items():
             assert report.scenario == name
             assert len(report.digest()) == 64
+
+    def test_chaos_drill_slos_read_zero_when_healthy(self):
+        summary = run_chaos_drill(seed=0)["summary"]
+        for name in ("chaos_crash_unrecovered", "chaos_crash_unconverged",
+                     "chaos_crash_nondeterministic", "chaos_partition_ops_lost",
+                     "chaos_partition_digest_mismatch"):
+            assert summary[name] == 0.0, name
+
+    def test_chaos_drill_slos_catch_broken_invariants(self, monkeypatch):
+        def broken(scenario, **overrides):
+            def run(**kwargs):
+                report = scenario(**kwargs)
+                return dataclasses.replace(
+                    report, metrics={**report.metrics, **overrides}
+                )
+            return run
+
+        crash = SCENARIOS["controller_crash_recovery"]
+        partition = SCENARIOS["partition_failover"]
+        monkeypatch.setitem(SCENARIOS, "controller_crash_recovery", broken(
+            crash, recoveries_ok=8.0, reconciles_converged=9.0, deterministic=0.0,
+        ))
+        monkeypatch.setitem(SCENARIOS, "partition_failover", broken(
+            partition, committed_ops_lost=3.0, digest_match=0.0,
+        ))
+        summary = run_chaos_drill(seed=0)["summary"]
+        assert summary["chaos_crash_unrecovered"] == 2.0
+        assert summary["chaos_crash_unconverged"] == 1.0
+        assert summary["chaos_crash_nondeterministic"] == 1.0
+        assert summary["chaos_partition_ops_lost"] == 3.0
+        assert summary["chaos_partition_digest_mismatch"] == 1.0

@@ -12,13 +12,9 @@ from pathlib import Path
 import pytest
 
 from repro.faults.injector import FaultInjector
-from repro.serve.drill import (
-    build_fault_timeline,
-    drill_slos,
-    report_jsonl_lines,
-    run_serve_drill,
-)
+from repro.serve.drill import build_fault_timeline, report_records, run_serve_drill
 from repro.serve.requests import Outcome
+from repro.tools.noc import scenario_slos
 
 THRESHOLDS = json.loads(
     (Path(__file__).resolve().parents[2] / "benchmarks" / "slo_thresholds.json")
@@ -51,7 +47,7 @@ class TestAcceptance:
         assert s["admitted"] == s["ok"] + s["timeout"] + s["error"]
 
     def test_slos_within_committed_thresholds(self, drill):
-        slos = drill_slos(drill["summary"])
+        slos = scenario_slos("serve", drill["summary"])
         for name, value in slos.items():
             assert value <= THRESHOLDS[name], f"{name}: {value} > {THRESHOLDS[name]}"
 
@@ -74,10 +70,9 @@ class TestAcceptance:
         assert other["outcomes_digest"] != drill["summary"]["outcomes_digest"]
 
     def test_jsonl_artifact_covers_every_request(self, drill):
-        lines = report_jsonl_lines(drill["report"])
-        assert len(lines) == drill["summary"]["offered"]
-        parsed = [json.loads(line) for line in lines[:50]]
-        for row in parsed:
+        records = report_records(drill["report"])
+        assert len(records) == drill["summary"]["offered"]
+        for row in records[:50]:
             assert row["outcome"] in {o.value for o in Outcome}
             assert row["finish_s"] >= row["arrival_s"] >= 0.0
 

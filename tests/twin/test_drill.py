@@ -3,7 +3,8 @@
 import pytest
 
 from repro.obs import Observability
-from repro.twin.drill import DEFAULT_POLICIES, run_twin_drill, twin_slos
+from repro.tools.noc import scenario_slos
+from repro.twin.drill import DEFAULT_POLICIES, run_twin_drill
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +18,7 @@ def result():
 
 class TestTwinDrill:
     def test_summary_carries_the_gated_slos(self, result):
-        slos = twin_slos(result["summary"])
+        slos = scenario_slos("twin", result["summary"])
         assert set(slos) == {
             "twin_forecast_miss_rate",
             "twin_forecast_mae_excess",
