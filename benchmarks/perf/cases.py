@@ -20,10 +20,13 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.core.crossconnect import Circuit, CrossConnectMap
+from repro.core.ids import CubeId, SliceId
+from repro.core.reconfig import ReconfigPlan, plan_delta, plan_reconfiguration
 from repro.dcn.flowsim import (
     FlowSimulator,
     generate_flows,
@@ -48,6 +51,10 @@ from repro.serve import FabricService, ServeConfig, ServeWorkload
 from repro.serve.drill import build_fault_timeline, drill_config, run_serve_drill
 from repro.serve.requests import RequestKind
 from repro.faults.injector import FaultInjector
+from repro.ocs.palomar import PALOMAR_RADIX
+from repro.tpu.cube import DIMS, FACE_PORTS
+from repro.tpu.slice_topology import SliceTopology
+from repro.tpu.superpod import NUM_CUBES, NUM_OCSES
 
 
 class CasePair(NamedTuple):
@@ -640,6 +647,91 @@ def _build_metrics_hot_path(smoke: bool, jobs: Optional[int] = None) -> CasePair
     )
 
 
+# --------------------------------------------------------------------- #
+# §4.2.4 slice churn: delta planning vs full-rebuild planning
+# --------------------------------------------------------------------- #
+
+#: Cube shapes of the churned slices, by cube count.
+_CHURN_SHAPES = {1: (1, 1, 1), 2: (1, 1, 2), 4: (1, 2, 2), 8: (2, 2, 2)}
+
+#: One step of the churn trace: per dimension, (circuits removed, added).
+ChurnStep = Dict[str, Tuple[FrozenSet[Circuit], FrozenSet[Circuit]]]
+
+
+def _slice_churn_trace(steps: int, seed: int = 11) -> List[ChurnStep]:
+    """Cube-level circuit deltas of a seeded slice churn on a 64-cube pod.
+
+    Each step releases a random live slice with probability 1/2, then
+    places a slice of 1, 2, 4 or 8 random free cubes when enough are
+    free -- one superpod transaction per step.
+    """
+    rng = np.random.default_rng(seed)
+    free = list(range(NUM_CUBES))
+    live: List[Tuple[List[int], Dict[str, FrozenSet[Circuit]]]] = []
+    trace: List[ChurnStep] = []
+    for step in range(steps):
+        removes: Dict[str, FrozenSet[Circuit]] = {d: frozenset() for d in DIMS}
+        adds = dict(removes)
+        if live and rng.random() < 0.5:
+            cubes, removes = live.pop(int(rng.integers(len(live))))
+            free.extend(cubes)
+        size = int(rng.choice(list(_CHURN_SHAPES)))
+        if size <= len(free):
+            picked = sorted(int(c) for c in rng.choice(free, size, replace=False))
+            for cube in picked:
+                free.remove(cube)
+            topology = SliceTopology.compose(
+                SliceId(f"churn-{step}"), _CHURN_SHAPES[size], [CubeId(c) for c in picked]
+            )
+            circuits: Dict[str, set] = {d: set() for d in DIMS}
+            for dim, a, b in topology.inter_cube_links():
+                circuits[dim].add((a.index, b.index))
+            adds = {dim: frozenset(c) for dim, c in circuits.items()}
+            live.append((picked, adds))
+        trace.append({d: (removes[d], adds[d]) for d in DIMS})
+    return trace
+
+
+def _rebuild_plan(
+    current: CrossConnectMap, removes: FrozenSet[Circuit], adds: FrozenSet[Circuit]
+) -> ReconfigPlan:
+    """The full-rebuild oracle: build the whole target map, then diff."""
+    target = CrossConnectMap.from_circuits(
+        current.radix, dict((current.circuits - removes) | adds)
+    )
+    return plan_reconfiguration(current, target)
+
+
+def _churn_plans(trace: List[ChurnStep], planner) -> List[Tuple[object, ...]]:
+    """Plan and apply every step on 48 fresh OCS maps.
+
+    Records ``(breaks, makes, len(unchanged))`` per plan: from the same
+    empty start, equal records pin equal plans, since every plan's
+    ``unchanged`` is its switch's state minus ``breaks``.
+    """
+    maps = [CrossConnectMap(PALOMAR_RADIX) for _ in range(NUM_OCSES)]
+    out: List[Tuple[object, ...]] = []
+    for step in trace:
+        for i, state in enumerate(maps):
+            removes, adds = step[DIMS[i // FACE_PORTS]]
+            plan = planner(state, removes, adds)
+            plan.apply(state)
+            out.append((plan.breaks, plan.makes, len(plan.unchanged)))
+    return out
+
+
+def _build_crossconnect_delta(smoke: bool, jobs: Optional[int] = None) -> CasePair:
+    del jobs  # single-process case
+    steps = 60 if smoke else 400
+    trace = _slice_churn_trace(steps)
+    return CasePair(
+        vectorized=lambda: _churn_plans(trace, plan_delta),
+        reference=lambda: _churn_plans(trace, _rebuild_plan),
+        parity=lambda vec, ref: 0.0 if vec == ref else float("inf"),
+        size={"steps": steps, "switches": NUM_OCSES},
+    )
+
+
 CASES: Tuple[PerfCase, ...] = (
     PerfCase("fleet_ber_fig13", "Fig 13", 20.0, _build_fleet),
     PerfCase("ber_curves_fig11_12", "Fig 11/12", 5.0, _build_curves),
@@ -666,4 +758,7 @@ CASES: Tuple[PerfCase, ...] = (
     ),
     PerfCase("serve_1m", "\u00a712 serving drill", 5.0, _build_serve_1m),
     PerfCase("metrics_hot_path", "obs hot loops", 1.5, _build_metrics_hot_path),
+    PerfCase(
+        "crossconnect_delta", "\u00a74.2.4 slice churn", 2.0, _build_crossconnect_delta
+    ),
 )

@@ -63,8 +63,18 @@ class CrossConnectMap:
         return cls.from_circuits(radix, {i: i for i in range(radix)})
 
     def copy(self) -> "CrossConnectMap":
-        """Return an independent snapshot of this map."""
-        return CrossConnectMap(self.radix, dict(self._n_to_s), dict(self._s_to_n))
+        """Return an independent snapshot of this map, at version 0.
+
+        The source already holds the bijection invariant, so the copy
+        skips ``__post_init__``'s O(radix) re-validation; maps seeded from
+        caller data are still validated.
+        """
+        out = object.__new__(CrossConnectMap)
+        out.radix = self.radix
+        out._n_to_s = dict(self._n_to_s)
+        out._s_to_n = dict(self._s_to_n)
+        out.version = 0
+        return out
 
     # ------------------------------------------------------------------ #
     # Mutation

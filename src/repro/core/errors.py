@@ -87,10 +87,10 @@ class PartialTransactionError(TransactionError):
     """A multi-OCS transaction failed with some switches already programmed.
 
     Raised by :meth:`repro.core.fabric_manager.FabricManager.reconfigure`
-    when one switch's ``apply_plan`` raises mid-transaction.  The manager
-    restores the already-applied switches from the pre-transaction
-    snapshot before raising; ``rolled_back`` reports whether that restore
-    itself succeeded.
+    and ``reconfigure_delta`` when one switch's ``apply_plan`` raises
+    mid-transaction.  The manager rolls the already-applied switches back
+    by their inverse plans before raising; ``rolled_back`` reports whether
+    every one of them is back at its plan's pre-image.
 
     Attributes:
         applied: switches that had been programmed before the failure

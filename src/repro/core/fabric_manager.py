@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Tuple
 
-from repro.core.crossconnect import CrossConnectMap
+from repro.core.crossconnect import Circuit, CrossConnectMap
 from repro.core.errors import (
     ConfigurationError,
     CrossConnectError,
@@ -27,7 +27,12 @@ from repro.core.errors import (
     TopologyError,
 )
 from repro.core.ids import LinkId, OcsId
-from repro.core.reconfig import ReconfigPlan, ReconfigStats, plan_reconfiguration
+from repro.core.reconfig import (
+    ReconfigPlan,
+    ReconfigStats,
+    plan_delta,
+    plan_reconfiguration,
+)
 from repro.obs import NULL_OBS, Observability
 
 
@@ -222,17 +227,42 @@ class FabricManager:
         """Atomically drive a set of switches to target maps.
 
         All plans are computed first (so a bad target aborts the whole
-        transaction with no partial state), then applied.  If a switch's
-        ``apply_plan`` raises mid-transaction, every switch already
-        programmed is restored from the pre-transaction snapshot and a
-        :class:`~repro.core.errors.PartialTransactionError` is raised
-        listing the applied and unapplied switches.  Switches reconfigure
-        in parallel in the real system; the returned duration is
-        therefore the *maximum* per-switch duration, not the sum.
+        transaction with no partial state), then committed (see
+        :meth:`_commit`).  Switches reconfigure in parallel in the real
+        system; the returned duration is therefore the *maximum*
+        per-switch duration, not the sum.
         """
-        plans = self.plan(targets)
+        return self._commit(self.plan(targets))
+
+    def reconfigure_delta(
+        self, deltas: Mapping[OcsId, Tuple[Iterable[Circuit], Iterable[Circuit]]]
+    ) -> float:
+        """Atomically apply ``{ocs: (removes, adds)}`` circuit deltas.
+
+        The same transaction as :meth:`reconfigure` toward the targets
+        ``(state - removes) | adds``, but each switch is planned with
+        :func:`~repro.core.reconfig.plan_delta` against its own live
+        state, so the cost follows the circuits that change rather than
+        the switch radix.  Every plan is computed (and validated) before
+        any switch is touched.
+        """
+        plans = {
+            ocs_id: plan_delta(self.switch(ocs_id).state, removes, adds)
+            for ocs_id, (removes, adds) in deltas.items()
+        }
+        return self._commit(plans)
+
+    def _commit(self, plans: Mapping[OcsId, ReconfigPlan]) -> float:
+        """Apply per-switch plans in switch order as one transaction.
+
+        If a switch's ``apply_plan`` raises mid-transaction, every switch
+        already programmed is rolled back by its inverse plan
+        (:meth:`undo_switch_plan`) and a
+        :class:`~repro.core.errors.PartialTransactionError` is raised
+        listing the applied and unapplied switches.  Returns the maximum
+        per-switch duration.
+        """
         order = sorted(plans)
-        pre_state = {ocs_id: self.switch(ocs_id).state.copy() for ocs_id in order}
         applied: List[OcsId] = []
         max_duration = 0.0
         with self.obs.tracer.span(
@@ -242,7 +272,7 @@ class FabricManager:
                 try:
                     duration = self.apply_switch_plan(ocs_id, plans[ocs_id])
                 except Exception as err:
-                    rolled_back = self._restore_applied(applied, pre_state)
+                    rolled_back = self._undo_applied(applied, plans)
                     self.obs.metrics.counter("fabric.reconfig.rollbacks").inc()
                     span.set_attr("rolled_back", rolled_back)
                     raise PartialTransactionError(
@@ -264,28 +294,37 @@ class FabricManager:
             )
         return max_duration
 
-    def _restore_applied(
-        self, applied: List[OcsId], pre_state: Mapping[OcsId, CrossConnectMap]
+    def _undo_applied(
+        self, applied: List[OcsId], plans: Mapping[OcsId, ReconfigPlan]
     ) -> bool:
-        """Drive already-applied switches back to their pre-transaction maps.
+        """Roll already-applied switches back, newest first.
 
-        Returns True when every switch verifiably matches its snapshot
-        again; restore failures are swallowed (the caller is already
-        raising) and reported as ``False``.
+        Returns True when every switch verifiably matches its plan's
+        pre-image again; undo failures are swallowed (the caller is
+        already raising) and reported as ``False``.
         """
         ok = True
         for ocs_id in reversed(applied):
-            sw = self.switch(ocs_id)
             try:
-                undo = plan_reconfiguration(sw.state, pre_state[ocs_id])
-                if not undo.is_noop:
-                    sw.apply_plan(undo)
+                ok = self.undo_switch_plan(ocs_id, plans[ocs_id]) and ok
             except Exception:
                 ok = False
-                continue
-            if sw.state != pre_state[ocs_id]:
-                ok = False
         return ok
+
+    def undo_switch_plan(self, ocs_id: OcsId, plan: ReconfigPlan) -> bool:
+        """Apply ``plan.inverse()`` to a switch that realized ``plan``.
+
+        The rollback step of every transaction, here and in
+        :mod:`repro.faults.resilience`.  No snapshot is needed: a plan
+        names its own pre-image (``unchanged | breaks``), and the return
+        value says whether the switch is back at it.  Statistics are not
+        recorded, since an undone plan never took effect.
+        """
+        sw = self.switch(ocs_id)
+        inverse = plan.inverse()
+        if not inverse.is_noop:
+            sw.apply_plan(inverse)
+        return sw.state.circuits == plan.pre_image
 
     def apply_switch_plan(self, ocs_id: OcsId, plan: ReconfigPlan) -> float:
         """Apply one switch's plan and record statistics; returns ms.

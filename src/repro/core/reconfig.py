@@ -16,10 +16,10 @@ fixed control-plane overhead -- not proportional to the number of circuits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.crossconnect import Circuit, CrossConnectMap
-from repro.core.errors import CrossConnectError
+from repro.core.errors import CrossConnectError, PortInUseError
 
 #: Mirror settle time for a MEMS OCS, milliseconds (Table C.1: milliseconds).
 DEFAULT_SWITCH_TIME_MS = 10.0
@@ -47,6 +47,11 @@ class ReconfigPlan:
     def is_noop(self) -> bool:
         """True when the target equals the current state."""
         return not self.breaks and not self.makes
+
+    @property
+    def pre_image(self) -> FrozenSet[Circuit]:
+        """The circuits of the map this plan starts from."""
+        return self.unchanged | self.breaks
 
     @property
     def num_disturbed(self) -> int:
@@ -123,6 +128,83 @@ def plan_reconfiguration(
         makes=frozenset(want - now),
         unchanged=frozenset(now & want),
     )
+
+
+def plan_delta(
+    current: CrossConnectMap,
+    removes: Iterable[Circuit],
+    adds: Iterable[Circuit],
+) -> ReconfigPlan:
+    """Plan the move from ``current`` to ``(current - removes) | adds``.
+
+    Returns exactly the plan :func:`plan_reconfiguration` returns for that
+    target, built without constructing or diffing the target map: the
+    cost is a few lookups per circuit in ``removes`` and ``adds``, and
+    only the ports an added circuit lands on are validated.  A removed
+    circuit absent from ``current`` is ignored; an added circuit already
+    present stays unchanged.  ``current`` is never mutated.
+
+    Raises the error building the target map in sorted circuit order
+    would raise first: :class:`~repro.core.errors.CrossConnectError` for
+    an out-of-range port, :class:`~repro.core.errors.PortInUseError` when
+    an added circuit shares a port with a kept circuit or another add.
+    """
+    # Read the live dicts directly: this is the per-transaction hot path.
+    n_to_s = current._n_to_s
+    adds = frozenset(adds)
+    breaks = frozenset(
+        c for c in removes if n_to_s.get(c[0]) == c[1] and c not in adds
+    )
+    makes = [c for c in adds if n_to_s.get(c[0]) != c[1]]
+    if makes:
+        _check_makes(current, breaks, makes)
+    return ReconfigPlan(
+        radix=current.radix,
+        breaks=breaks,
+        makes=frozenset(makes),
+        unchanged=current.circuits - breaks,
+    )
+
+
+def _check_makes(
+    current: CrossConnectMap, breaks: FrozenSet[Circuit], makes: List[Circuit]
+) -> None:
+    """Raise the first error of connecting the delta's target in order.
+
+    ``from_circuits`` connects the target's circuits in sorted order and
+    fails on the first circuit that cannot be connected: an out-of-range
+    make fails at its own position, a make clashing with an earlier make
+    at the later one, and a make clashing with a kept circuit at whichever
+    of the two sorts last.  The error with the smallest position wins.
+    """
+    radix, n_to_s, s_to_n = current.radix, current._n_to_s, current._s_to_n
+    first: Optional[Tuple[Circuit, CrossConnectError]] = None
+    made_n: Dict[int, int] = {}
+    made_s: Dict[int, int] = {}
+    for make in sorted(makes):
+        if first is not None and make > first[0]:
+            break
+        n, s = make
+        for side, port in (("north", n), ("south", s)):
+            if not 0 <= port < radix:
+                raise CrossConnectError(f"{side} port {port} out of range [0, {radix})")
+        if n in made_n:
+            raise PortInUseError(f"north port {n} already connected to south {made_n[n]}")
+        if s in made_s:
+            raise PortInUseError(f"south port {s} already connected to north {made_s[s]}")
+        for kept in ((n, n_to_s.get(n)), (s_to_n.get(s), s)):
+            if None in kept or kept in breaks:
+                continue
+            if kept < make:
+                raise PortInUseError(
+                    f"port of {make} already used by circuit {kept}"
+                )
+            if first is None or kept < first[0]:
+                first = (kept, PortInUseError(f"port of {kept} already used by circuit {make}"))
+        made_n[n] = s
+        made_s[s] = n
+    if first is not None:
+        raise first[1]
 
 
 @dataclass

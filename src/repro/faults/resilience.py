@@ -218,7 +218,6 @@ class ResilientReconfigurer:
     ) -> TransactionResult:
         """Drive the switches to their targets with retry + rollback."""
         plans = self.manager.plan(targets)
-        pre_state = {oid: self.manager.switch(oid).state.copy() for oid in plans}
         applied: List[Tuple[OcsId, ReconfigPlan]] = []
         attempts: Dict[OcsId, int] = {}
         backoff_total = 0.0
@@ -248,7 +247,7 @@ class ResilientReconfigurer:
                     ).inc()
                     self.obs.tracer.event(f"{ocs_id} attempt {attempt}: {failure}")
                     if attempt > self.policy.max_retries:
-                        self._rollback(applied, pre_state)
+                        self._rollback(applied)
                         self.obs.metrics.counter("resilience.rollbacks").inc()
                         span.set_attr("rolled_back", True)
                         raise TransactionError(
@@ -287,23 +286,18 @@ class ResilientReconfigurer:
             return f"mirror stuck on circuit N{n}-S{s}"
         return None
 
-    def _rollback(
-        self,
-        applied: List[Tuple[OcsId, ReconfigPlan]],
-        pre_state: Mapping[OcsId, CrossConnectMap],
-    ) -> None:
+    def _rollback(self, applied: List[Tuple[OcsId, ReconfigPlan]]) -> None:
         """Undo every applied plan, newest first; verify exact restore.
 
-        Rollback bypasses the fault model: in the real control plane the
-        undo program is replayed until it lands (the alternative --
-        leaving a half-programmed fabric -- is the one unacceptable
-        outcome).
+        Each switch gets :meth:`~repro.core.fabric_manager.FabricManager.
+        undo_switch_plan` (the inverse plan, checked against the plan's
+        pre-image).  Rollback bypasses the fault model: in the real
+        control plane the undo program is replayed until it lands (the
+        alternative -- leaving a half-programmed fabric -- is the one
+        unacceptable outcome).
         """
         for ocs_id, plan in reversed(applied):
-            inverse = plan.inverse()
-            if not inverse.is_noop:
-                self.manager.switch(ocs_id).apply_plan(inverse)
-            if self.manager.switch(ocs_id).state != pre_state[ocs_id]:
+            if not self.manager.undo_switch_plan(ocs_id, plan):
                 raise TransactionError(
                     f"rollback of {ocs_id} did not restore the pre-transaction map",
                     ocs_id=ocs_id,

@@ -16,11 +16,7 @@ from repro.tpu.superpod import Superpod
 
 def free_runs(pod: Superpod) -> List[Tuple[int, int]]:
     """Maximal runs of idle+healthy cube indices as (start, length)."""
-    free = {
-        cid.index
-        for cid in pod.free_cubes()
-        if pod.cube(cid).healthy
-    }
+    free = {cid.index for cid in pod.healthy_free_cubes()}
     runs: List[Tuple[int, int]] = []
     start = None
     for i in range(pod.num_cubes + 1):

@@ -9,18 +9,19 @@ A torus edge "cube A +d -> cube B -d" is then the circuit
 the self-loop ``N[A] -> S[A]`` that closes a dimension of extent one.
 
 Because the 16 OCSes of a dimension carry identical cube-level patterns,
-slice configuration builds one target cross-connect per dimension and
-replicates it.  Slices over disjoint cube sets touch disjoint ports, so
-the non-blocking OCS schedules new slices without disturbing running ones
-(§4.2.4).
+a slice change computes one cube-level delta (circuits removed, circuits
+added) per dimension and plans it on each of that dimension's OCSes.
+Slices over disjoint cube sets touch disjoint ports, so the non-blocking
+OCS schedules new slices without disturbing running ones (§4.2.4), and a
+transaction costs in proportion to the circuits it changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.core.crossconnect import CrossConnectMap
+from repro.core.crossconnect import Circuit
 from repro.core.errors import (
     CapacityError,
     ConfigurationError,
@@ -47,6 +48,12 @@ def ocs_index(dim: str, face_pos: int) -> int:
     if not 0 <= face_pos < FACE_PORTS:
         raise ConfigurationError(f"face position {face_pos} out of range")
     return DIMS.index(dim) * FACE_PORTS + face_pos
+
+
+#: The OCSes of each dimension, in face-position order.
+_DIM_OCSES: Dict[str, Tuple[OcsId, ...]] = {
+    dim: tuple(OcsId(ocs_index(dim, pos)) for pos in range(FACE_PORTS)) for dim in DIMS
+}
 
 
 @dataclass
@@ -143,8 +150,7 @@ class Superpod:
             if cube_id.index >= self.num_cubes:
                 raise CapacityError(f"{cube_id} outside this pod")
 
-        targets = self._targets_with(add=[topology])
-        duration = self.manager.reconfigure(targets)
+        duration = self._reprogram(add=[topology])
         self._slices[topology.slice_id] = topology
         for cube_id in topology.cube_ids:
             self._allocated[cube_id] = topology.slice_id
@@ -153,8 +159,7 @@ class Superpod:
     def release_slice(self, slice_id: SliceId) -> float:
         """Tear down a slice's circuits; returns duration (ms)."""
         topology = self.slice(slice_id)
-        targets = self._targets_with(remove=[topology])
-        duration = self.manager.reconfigure(targets)
+        duration = self._reprogram(remove=[topology])
         del self._slices[slice_id]
         for cube_id in topology.cube_ids:
             del self._allocated[cube_id]
@@ -173,25 +178,30 @@ class Superpod:
         of one per slice.  Validation runs up front; a bad batch changes
         nothing.
         """
+        removing = set(remove)
+        if len(removing) != len(remove):
+            raise SchedulingError("a slice is removed twice in one batch")
         removals = [self.slice(sid) for sid in remove]
-        removed_cubes = {c for t in removals for c in t.cube_ids}
+        new_ids: Set[SliceId] = set()
         seen_new: Set[CubeId] = set()
         for topology in add:
-            if topology.slice_id in self._slices and topology.slice_id not in set(remove):
+            if topology.slice_id in new_ids:
+                raise SchedulingError(f"slice {topology.slice_id} is added twice in one batch")
+            new_ids.add(topology.slice_id)
+            if topology.slice_id in self._slices and topology.slice_id not in removing:
                 raise SchedulingError(f"slice {topology.slice_id} already configured")
             for cube_id in topology.cube_ids:
                 if cube_id in seen_new:
                     raise SchedulingError(f"{cube_id} appears in two new slices")
                 seen_new.add(cube_id)
                 allocated_to = self._allocated.get(cube_id)
-                if allocated_to is not None and allocated_to not in set(remove):
+                if allocated_to is not None and allocated_to not in removing:
                     raise SchedulingError(
                         f"{cube_id} is already allocated to {allocated_to}"
                     )
                 if not self.cube(cube_id).healthy:
                     raise SchedulingError(f"{cube_id} is unhealthy")
-        targets = self._targets_with(add=list(add), remove=removals)
-        duration = self.manager.reconfigure(targets)
+        duration = self._reprogram(add=add, remove=removals)
         for sid, topology in zip(remove, removals):
             del self._slices[sid]
             for cube_id in topology.cube_ids:
@@ -232,50 +242,42 @@ class Superpod:
             shape_cubes=topology.shape_cubes,
             assignment=new_assignment,
         )
-        targets = self._targets_with(remove=[topology], add=[new_topology])
-        self.manager.reconfigure(targets)
+        self._reprogram(add=[new_topology], remove=[topology])
         self._slices[slice_id] = new_topology
         del self._allocated[bad]
         self._allocated[replacement] = slice_id
         return new_topology
 
     # ------------------------------------------------------------------ #
-    # Target construction
+    # Fabric deltas
     # ------------------------------------------------------------------ #
 
-    def _slice_circuits(self, topology: SliceTopology) -> Dict[str, Set[Tuple[int, int]]]:
-        """Per-dimension cube-level circuits: {dim: {(north, south)}}."""
-        out: Dict[str, Set[Tuple[int, int]]] = {d: set() for d in DIMS}
-        for dim, a, b in topology.inter_cube_links():
-            out[dim].add((a.index, b.index))
-        return out
+    @staticmethod
+    def _dim_circuits(topologies: Sequence[SliceTopology]) -> Dict[str, FrozenSet[Circuit]]:
+        """Cube-level circuits of the slices per dimension: {dim: {(north, south)}}."""
+        out: Dict[str, Set[Circuit]] = {d: set() for d in DIMS}
+        for topology in topologies:
+            for dim, a, b in topology.inter_cube_links():
+                out[dim].add((a.index, b.index))
+        return {dim: frozenset(circuits) for dim, circuits in out.items()}
 
-    def _targets_with(
+    def _reprogram(
         self,
         add: Sequence[SliceTopology] = (),
         remove: Sequence[SliceTopology] = (),
-    ) -> Dict[OcsId, CrossConnectMap]:
-        """Current state plus/minus slices' circuits, for all 48 OCSes."""
-        added: Dict[str, Set[Tuple[int, int]]] = {d: set() for d in DIMS}
-        removed: Dict[str, Set[Tuple[int, int]]] = {d: set() for d in DIMS}
-        for topo in add:
-            for dim, circuits in self._slice_circuits(topo).items():
-                added[dim] |= circuits
-        for topo in remove:
-            for dim, circuits in self._slice_circuits(topo).items():
-                removed[dim] |= circuits
-        targets: Dict[OcsId, CrossConnectMap] = {}
-        for dim in DIMS:
-            for pos in range(FACE_PORTS):
-                oid = OcsId(ocs_index(dim, pos))
-                current = self.manager.switch(oid).state
-                circuits = set(current.circuits)
-                circuits -= removed[dim]
-                circuits |= added[dim]
-                targets[oid] = CrossConnectMap.from_circuits(
-                    PALOMAR_RADIX, dict(sorted(circuits))
-                )
-        return targets
+    ) -> float:
+        """One transaction over all 48 OCSes: drop ``remove``'s circuits,
+        make ``add``'s.
+
+        The cube-level delta is computed once per dimension; each of the
+        dimension's 16 OCSes is planned against its own live state, so a
+        switch that drifted still fails validation on its own ports.
+        """
+        removes = self._dim_circuits(remove)
+        adds = self._dim_circuits(add)
+        return self.manager.reconfigure_delta(
+            {oid: (removes[dim], adds[dim]) for dim in DIMS for oid in _DIM_OCSES[dim]}
+        )
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -85,6 +85,33 @@ class TestConstruction:
         assert m.num_circuits == 1
         assert c.num_circuits == 2
 
+    def test_copy_equals_original_and_is_independent_both_ways(self):
+        m = CrossConnectMap.from_circuits(8, {0: 1, 2: 5, 7: 7})
+        c = m.copy()
+        assert c == m
+        assert c.circuits == m.circuits
+        assert c.is_bijective()
+        m.disconnect(2)
+        assert c.south_of(2) == 5
+        assert c.north_of(5) == 2
+        c.disconnect(0)
+        assert m.south_of(0) == 1
+
+    def test_copy_starts_at_version_zero(self):
+        m = CrossConnectMap.from_circuits(8, {0: 1, 2: 5})
+        m.disconnect(0)
+        assert m.version == 3
+        c = m.copy()
+        assert c.version == 0
+        c.connect(0, 0)
+        assert (c.version, m.version) == (1, 3)
+
+    def test_user_seeded_maps_are_still_validated(self):
+        with pytest.raises(CrossConnectError):
+            CrossConnectMap(4, {0: 9}, {9: 0})
+        with pytest.raises(CrossConnectError):
+            CrossConnectMap(4, {0: 1}, {2: 0})
+
     def test_equality(self):
         a = CrossConnectMap.from_circuits(4, {0: 1, 2: 3})
         b = CrossConnectMap.from_circuits(4, {2: 3, 0: 1})

@@ -12,6 +12,7 @@ from repro.core.errors import (
     ConfigurationError,
     CrossConnectError,
     PartialTransactionError,
+    PortInUseError,
     TopologyError,
 )
 from repro.core.fabric_manager import FabricManager, LogicalLink, SimpleSwitch
@@ -343,3 +344,70 @@ class TestIncrementalDigest:
         mgr.switch(OcsId(0)).state.connect(1, 1)
         assert mgr.state_digest() == from_scratch_digest(mgr) != first
         assert mgr._switch_json[1] is fragment
+
+
+class TestReconfigureDelta:
+    """The delta entry shares reconfigure's commit and inverse-plan rollback."""
+
+    @pytest.fixture
+    def mgr(self):
+        m = FabricManager()
+        for i in range(3):
+            m.add_switch(OcsId(i), FlakySwitch(8))
+            m.establish(LinkId(f"l{i}"), OcsId(i), 0, 4)
+        return m
+
+    def test_matches_full_rebuild_reconfigure(self, mgr):
+        twin = FabricManager()
+        for i in range(3):
+            twin.add_switch(OcsId(i), SimpleSwitch(8))
+            twin.establish(LinkId(f"l{i}"), OcsId(i), 0, 4)
+        deltas = {OcsId(i): ({(0, 4)}, {(0, 5), (i + 1, 1)}) for i in range(3)}
+        targets = {
+            OcsId(i): CrossConnectMap.from_circuits(8, {0: 5, i + 1: 1}) for i in range(3)
+        }
+        assert mgr.reconfigure_delta(deltas) == twin.reconfigure(targets)
+        assert mgr.state_digest() == twin.state_digest()
+        assert mgr.stats == twin.stats
+        assert mgr.links == ()  # the l* circuits moved: stale records dropped
+
+    def test_bad_delta_changes_nothing(self, mgr):
+        digest = mgr.state_digest()
+        with pytest.raises(PortInUseError):
+            mgr.reconfigure_delta(
+                {OcsId(0): ((), {(1, 1)}), OcsId(2): ((), {(0, 5)})}
+            )
+        assert mgr.state_digest() == digest
+        assert mgr.stats.transactions == 0
+
+    def test_unknown_switch_raises_before_any_change(self, mgr):
+        digest = mgr.state_digest()
+        with pytest.raises(TopologyError):
+            mgr.reconfigure_delta({OcsId(0): ((), {(1, 1)}), OcsId(9): ((), ())})
+        assert mgr.state_digest() == digest
+
+    def test_rollback_by_inverse_plan_without_snapshots(self, mgr, monkeypatch):
+        def no_copy(self):
+            raise AssertionError("rollback must not snapshot switch state")
+
+        monkeypatch.setattr(CrossConnectMap, "copy", no_copy)
+        digest = mgr.state_digest()
+        mgr.switch(OcsId(2)).fail_next = True
+        with pytest.raises(PartialTransactionError) as exc:
+            mgr.reconfigure_delta(
+                {OcsId(i): ({(0, 4)}, {(0, 5), (7, 7)}) for i in range(3)}
+            )
+        err = exc.value
+        assert err.applied == (OcsId(0), OcsId(1))
+        assert err.unapplied == (OcsId(2),)
+        assert err.rolled_back
+        assert mgr.state_digest() == digest
+        assert mgr.verify_links() == ()
+
+    def test_undo_reports_a_switch_that_drifted(self, mgr):
+        plans = mgr.plan({OcsId(0): CrossConnectMap.from_circuits(8, {0: 5})})
+        mgr.apply_switch_plan(OcsId(0), plans[OcsId(0)])
+        assert mgr.undo_switch_plan(OcsId(0), plans[OcsId(0)])
+        mgr.apply_switch_plan(OcsId(0), plans[OcsId(0)])
+        mgr.switch(OcsId(0)).state.connect(6, 6)  # out-of-band drift
+        assert not mgr.undo_switch_plan(OcsId(0), plans[OcsId(0)])

@@ -66,6 +66,40 @@ class TestApplyBatch:
         with pytest.raises(SchedulingError):
             pod.apply_batch(add=[topo("a", (1, 1, 1), [CubeId(3)])])
 
+    def test_batch_releases_every_removed_slice(self, pod):
+        pod.configure_slice(topo("a", (1, 1, 2), [CubeId(0), CubeId(1)]))
+        pod.configure_slice(topo("b", (1, 1, 1), [CubeId(2)]))
+        pod.configure_slice(topo("c", (1, 1, 1), [CubeId(3)]))
+        pod.apply_batch(remove=[SliceId("a"), SliceId("c")])
+        assert [str(s.slice_id) for s in pod.slices()] == ["b"]
+        assert pod.total_circuits() == 48
+
+    def _assert_unchanged_after(self, pod, **batch):
+        before = (pod.manager.state_digest(), pod.slices(), pod.allocated_cubes())
+        with pytest.raises(SchedulingError):
+            pod.apply_batch(**batch)
+        after = (pod.manager.state_digest(), pod.slices(), pod.allocated_cubes())
+        assert after == before
+
+    def test_batch_rejects_two_new_slices_with_one_id(self, pod):
+        pod.configure_slice(topo("a", (1, 1, 1), [CubeId(0)]))
+        self._assert_unchanged_after(
+            pod,
+            add=[topo("b", (1, 1, 1), [CubeId(1)]), topo("b", (1, 1, 1), [CubeId(2)])],
+        )
+
+    def test_batch_rejects_a_repeated_removal(self, pod):
+        pod.configure_slice(topo("a", (1, 1, 2), [CubeId(0), CubeId(1)]))
+        self._assert_unchanged_after(pod, remove=[SliceId("a"), SliceId("a")])
+
+    def test_batch_rejects_duplicate_replacement_ids(self, pod):
+        pod.configure_slice(topo("a", (1, 1, 1), [CubeId(0)]))
+        self._assert_unchanged_after(
+            pod,
+            add=[topo("a", (1, 1, 1), [CubeId(1)]), topo("a", (1, 1, 1), [CubeId(2)])],
+            remove=[SliceId("a")],
+        )
+
     def test_empty_batch_noop(self, pod):
         duration = pod.apply_batch()
         assert duration == 0.0
