@@ -415,6 +415,19 @@ class ReplicationGroup:
         self._close_outage(now_s)
         return epoch
 
+    def elect_reachable(self, now_s: float) -> bool:
+        """Failover sweep: elect the first up, client-reachable replica
+        that can assemble a quorum.  False when none can."""
+        for index in range(self.num_replicas):
+            if not self.client_reachable(index):
+                continue
+            try:
+                self.elect(index, now_s)
+            except QuorumError:
+                continue
+            return True
+        return False
+
     # ------------------------------------------------------------------ #
     # Replication (whole-suffix shipping + quorum commit)
     # ------------------------------------------------------------------ #

@@ -922,26 +922,15 @@ def partition_failover(
     def submit_with_failover(payload: Dict[str, object], now_s: float,
                              token: str) -> bool:
         # Mirrors FabricService._gate_attempt: a bounced submit earns one
-        # election sweep over the client-reachable live replicas, then
-        # one retry against the new leader.
+        # election sweep (ReplicationGroup.elect_reachable), then one
+        # retry against the new leader.
         for _ in range(2):
             try:
                 group.submit(payload, now_s, token=token)
                 return True
             except (NotLeaderError, QuorumError):
                 pass
-            elected = False
-            for i in range(num_replicas):
-                node = group.nodes[i]
-                if not node.up or not group.client_reachable(i):
-                    continue
-                try:
-                    group.elect(i, now_s)
-                    elected = True
-                    break
-                except QuorumError:
-                    continue
-            if not elected:
+            if not group.elect_reachable(now_s):
                 return False
         return False
 

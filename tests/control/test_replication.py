@@ -154,6 +154,19 @@ class TestCrashFailover:
         assert group.unavailable_s > 0.0
         assert group.committed_ops_lost() == 0
 
+    def test_elect_reachable_takes_the_first_electable_replica(self):
+        group = make_group(lease_s=0.2)
+        injector = FaultInjector(seed=0)
+        group.attach_faults(injector)
+        injector.schedule(0.5, FaultKind.CONTROLLER_CRASH, controller_target(0))
+        injector.advance_to(0.6)
+        assert group.elect_reachable(0.8)  # skips the crashed replica 0
+        assert group.leader_index == 1
+        injector.schedule(0.9, FaultKind.CONTROLLER_CRASH, controller_target(1))
+        injector.advance_to(1.0)
+        assert not group.elect_reachable(1.5)  # one live replica: no quorum
+        assert group.leader_index is None
+
     def test_restarted_replica_catches_up_on_heartbeat(self):
         group = make_group(lease_s=0.2)
         group.submit(RETARGET, 0.1, token="t1")
