@@ -7,26 +7,31 @@ switches hold their mirrors wherever the dead controller left them.
 
 :class:`DurableController` wraps a :class:`~repro.core.fabric_manager.
 FabricManager` so that **every intent mutation is journaled before any
-switch is touched**:
+switch is touched**.  Every record payload is an
+:func:`~repro.control.replication.apply_entry` op (plus its ``token``,
+if any) -- the vocabulary of the replicated and serving commit logs too.
 
-- single ops (``establish``/``adopt``/``teardown``) are one WAL record
-  each -- the record *is* the commit marker, so a crash between the
-  append and the hardware apply rolls the op forward on recovery;
-- multi-OCS ``reconfigure`` is a transaction: a ``txn-begin`` record
-  carries the full targets *and* the pre-transaction state, per-switch
-  ``txn-apply`` records land as each switch is programmed, and a
-  ``txn-commit`` marker seals the batch.  Recovery rolls a transaction
-  **forward** when the commit marker is durable and **back** (to the
-  journaled pre-state) when it is not -- deterministically, whatever
-  subset of switches the crash left programmed;
+- single ops (``establish``/``adopt``/``teardown``) are one ``op``
+  record each -- the record *is* the commit marker, so a crash between
+  the append and the hardware apply rolls the op forward on recovery;
+- multi-OCS ``reconfigure`` is a transaction: its ``txn-begin`` record
+  is one ``reconfigure`` op holding each switch's breaks and makes from
+  the hitless plans (so its size follows the circuits that move, not
+  the radix), per-switch ``txn-apply`` records land as each switch is
+  programmed, and a ``txn-commit`` marker seals the batch.  A switch
+  that raises mid-way rolls the programmed ones back by inverse plans;
 - ``checkpoint()`` snapshots the whole control plane into the log and
   compacts everything older.
 
-:func:`recover` is the restart path: repair the WAL tail, load the last
-checkpoint, replay the committed suffix into an *intent* model, resolve
-the at-most-one open transaction, then drive every switch's hardware to
-the intent with hitless plans.  Running it twice is a no-op the second
-time (replay idempotence), and the resulting
+:func:`recover` is the restart path: repair the WAL tail, restore the
+last checkpoint into an *intent* manager of plain switches, and apply
+every committed op with ``apply_entry`` -- the live planes' own apply,
+so recovery cannot drift from live semantics.  A transaction commits
+with its ``txn-commit`` marker: it rolls **forward** past the marker and
+**back** before it (its op is never applied), whatever subset of
+switches the crash left programmed.  Recovery then drives every switch
+to the intent with hitless plans and installs its links.  Running it
+twice is a no-op the second time (replay idempotence), and the resulting
 :meth:`~repro.core.fabric_manager.FabricManager.state_digest` is a pure
 function of the journal bytes.
 """
@@ -34,20 +39,23 @@ function of the journal bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.crossconnect import CrossConnectMap
 from repro.core.errors import (
     ConfigurationError,
+    ControllerCrash,
     CrossConnectError,
     IdempotencyError,
     PortInUseError,
     RecoveryError,
+    ReproError,
     TopologyError,
 )
-from repro.core.fabric_manager import FabricManager, LogicalLink
+from repro.core.fabric_manager import FabricManager, LogicalLink, SimpleSwitch
 from repro.core.ids import LinkId, OcsId
 from repro.core.reconfig import plan_reconfiguration
+from repro.control.replication import apply_entry
 from repro.control.wal import CrashSchedule, WalRecord, WriteAheadLog
 from repro.obs import NULL_OBS, Observability
 
@@ -59,12 +67,16 @@ KIND_TXN_APPLY = "txn-apply"
 KIND_TXN_COMMIT = "txn-commit"
 
 
-def _circuits_payload(circuits: Mapping[int, int]) -> List[List[int]]:
-    return [[n, s] for n, s in sorted(circuits.items())]
-
-
-def _circuits_from_payload(entry) -> Dict[int, int]:
-    return {int(n): int(s) for n, s in entry}
+def _token_spec(payload: Mapping[str, object], duration: float = 0.0) -> Tuple[object, ...]:
+    """The committed result a token replays for the op ``payload``: the
+    link, the transaction's ``duration`` (zero when replayed from the
+    journal: the hardware work happened in the committed run), or none."""
+    op = payload["op"]
+    if op == "establish" or op == "adopt":
+        return ("link", payload["link"], payload["ocs"], payload["north"], payload["south"])
+    if op == "reconfigure":
+        return ("duration", duration)
+    return ("none",)
 
 
 #: Sentinel distinguishing "token unknown" from a committed None result.
@@ -196,94 +208,73 @@ class DurableController:
     # Single-record ops (the record is the commit marker)
     # ------------------------------------------------------------------ #
 
-    def _check_new_link(self, link_id: LinkId) -> None:
+    def _journal_op(
+        self, payload: Dict[str, object], link_id: LinkId, token: Optional[str]
+    ) -> None:
+        """Journal one single-record op, then apply it to the manager."""
+        op = str(payload["op"])
+        with self.obs.tracer.span("control.op", op=op, link=link_id):
+            if token is not None:
+                payload["token"] = token
+            self.wal.append(KIND_OP, payload)
+            self._remember(token, _token_spec(payload))
+            self._step("op-durable")
+            apply_entry(self.manager, payload)
+            self._step("op-applied")
+        self.obs.metrics.counter("control.journal.ops", op=op).inc()
+
+    def _link_op(
+        self, op: str, link_id: LinkId, ocs_id: OcsId, north: int, south: int,
+        token: Optional[str],
+    ) -> LogicalLink:
+        replay = self._token_replay(token, op)
+        if replay is not _TOKEN_MISS:
+            return replay  # type: ignore[return-value]
         try:
             self.manager.link(link_id)
         except TopologyError:
-            return
-        raise ConfigurationError(f"link {link_id} already exists")
-
-    def establish(
-        self,
-        link_id: LinkId,
-        ocs_id: OcsId,
-        north: int,
-        south: int,
-        *,
-        token: Optional[str] = None,
-    ) -> LogicalLink:
-        """Journal then create one circuit + logical link."""
-        replay = self._token_replay(token, "establish")
-        if replay is not _TOKEN_MISS:
-            return replay  # type: ignore[return-value]
-        self._check_new_link(link_id)
-        sw = self.manager.switch(ocs_id)
-        if sw.state.south_of(north) is not None or sw.state.north_of(south) is not None:
-            raise PortInUseError(
-                f"{ocs_id}: N{north} or S{south} already carries a circuit"
-            )
-        with self.obs.tracer.span("control.op", op="establish", link=link_id):
-            payload = {"op": "establish", "link": str(link_id), "ocs": ocs_id.index,
-                       "north": north, "south": south}
-            if token is not None:
-                payload["token"] = token
-            self.wal.append(KIND_OP, payload)
-            self._remember(token, ("link", str(link_id), ocs_id.index, north, south))
-            self._step("op-durable")
-            link = self.manager.establish(link_id, ocs_id, north, south)
-            self._step("op-applied")
-        self.obs.metrics.counter("control.journal.ops", op="establish").inc()
-        return link
-
-    def adopt_link(
-        self,
-        link_id: LinkId,
-        ocs_id: OcsId,
-        north: int,
-        south: int,
-        *,
-        token: Optional[str] = None,
-    ) -> LogicalLink:
-        """Journal then record intent for an already-existing circuit."""
-        replay = self._token_replay(token, "adopt")
-        if replay is not _TOKEN_MISS:
-            return replay  # type: ignore[return-value]
-        self._check_new_link(link_id)
-        sw = self.manager.switch(ocs_id)
-        if sw.state.south_of(north) != south:
+            pass
+        else:
+            raise ConfigurationError(f"link {link_id} already exists")
+        state = self.manager.switch(ocs_id).state
+        if op == "adopt" and state.south_of(north) != south:
             raise CrossConnectError(
                 f"{ocs_id}: no circuit N{north} -> S{south} to adopt for {link_id}"
             )
-        with self.obs.tracer.span("control.op", op="adopt", link=link_id):
-            payload = {"op": "adopt", "link": str(link_id), "ocs": ocs_id.index,
-                       "north": north, "south": south}
-            if token is not None:
-                payload["token"] = token
-            self.wal.append(KIND_OP, payload)
-            self._remember(token, ("link", str(link_id), ocs_id.index, north, south))
-            self._step("op-durable")
-            link = self.manager.adopt_link(link_id, ocs_id, north, south)
-            self._step("op-applied")
-        self.obs.metrics.counter("control.journal.ops", op="adopt").inc()
-        return link
+        if op == "establish" and (
+            state.south_of(north) is not None or state.north_of(south) is not None
+        ):
+            raise PortInUseError(
+                f"{ocs_id}: N{north} or S{south} already carries a circuit"
+            )
+        self._journal_op(
+            {"op": op, "link": str(link_id), "ocs": ocs_id.index,
+             "north": north, "south": south},
+            link_id, token,
+        )
+        return self.manager.link(link_id)
+
+    def establish(
+        self, link_id: LinkId, ocs_id: OcsId, north: int, south: int, *,
+        token: Optional[str] = None,
+    ) -> LogicalLink:
+        """Journal then create one circuit + logical link."""
+        return self._link_op("establish", link_id, ocs_id, north, south, token)
+
+    def adopt_link(
+        self, link_id: LinkId, ocs_id: OcsId, north: int, south: int, *,
+        token: Optional[str] = None,
+    ) -> LogicalLink:
+        """Journal then record intent for an already-existing circuit."""
+        return self._link_op("adopt", link_id, ocs_id, north, south, token)
 
     def teardown(self, link_id: LinkId, *, token: Optional[str] = None) -> None:
         """Journal then destroy a logical link and its circuit."""
         replay = self._token_replay(token, "teardown")
         if replay is not _TOKEN_MISS:
             return None
-        link = self.manager.link(link_id)
-        with self.obs.tracer.span("control.op", op="teardown", link=link_id):
-            payload = {"op": "teardown", "link": str(link_id), "ocs": link.ocs.index,
-                       "north": link.north, "south": link.south}
-            if token is not None:
-                payload["token"] = token
-            self.wal.append(KIND_OP, payload)
-            self._remember(token, ("none",))
-            self._step("op-durable")
-            self.manager.teardown(link_id)
-            self._step("op-applied")
-        self.obs.metrics.counter("control.journal.ops", op="teardown").inc()
+        self.manager.link(link_id)  # an unknown link is refused unjournaled
+        self._journal_op({"op": "teardown", "link": str(link_id)}, link_id, token)
 
     # ------------------------------------------------------------------ #
     # Multi-OCS transactions
@@ -297,46 +288,53 @@ class DurableController:
     ) -> float:
         """Journaled multi-OCS reconfiguration.
 
-        ``txn-begin`` (targets + pre-state) -> per-switch apply +
-        ``txn-commit``.  A crash at any point recovers
-        deterministically: forward past the commit marker, back before
-        it.  The token (if any) rides on ``txn-begin`` but is only
-        burned by the commit marker -- a rolled-back transaction leaves
-        its token spendable, so the retry re-executes.
+        ``txn-begin`` (one ``reconfigure`` op: each switch's breaks and
+        makes) -> per-switch apply + ``txn-apply`` -> ``txn-commit``.  A
+        crash at any point recovers deterministically: forward past the
+        commit marker, back before it.  A switch whose ``apply_plan``
+        raises (anything but a :class:`~repro.core.errors.
+        ControllerCrash`) rolls every switch already programmed back by
+        its inverse plan and raises :class:`~repro.core.errors.
+        PartialTransactionError`; the transaction never commits, so the
+        live fabric and a recovery from the journal agree.  The token
+        (if any) rides on ``txn-begin`` but is only burned by the commit
+        marker -- a rolled-back transaction leaves its token spendable,
+        so the retry re-executes.
         """
         replay = self._token_replay(token, "reconfigure")
         if replay is not _TOKEN_MISS:
             return float(replay)  # type: ignore[arg-type]
         plans = self.manager.plan(targets)
         order = sorted(plans)
-        begin_payload = {
-            "targets": {
-                str(ocs_id.index): _circuits_payload(
-                    dict(targets[ocs_id].circuits)
-                )
+        payload: Dict[str, object] = {
+            "op": "reconfigure",
+            "switches": [
+                [ocs_id.index, sorted(map(list, plans[ocs_id].breaks)),
+                 sorted(map(list, plans[ocs_id].makes))]
                 for ocs_id in order
-            },
-            "pre": {
-                str(ocs_id.index): _circuits_payload(
-                    dict(self.manager.switch(ocs_id).state.circuits)
-                )
-                for ocs_id in order
-            },
+            ],
         }
         if token is not None:
-            begin_payload["token"] = token
-        self.wal.append(KIND_TXN_BEGIN, begin_payload)
+            payload["token"] = token
+        self.wal.append(KIND_TXN_BEGIN, payload)
         self._step("txn-begin-durable")
         max_duration = 0.0
         with self.obs.tracer.span("control.txn", switches=len(order)):
-            for ocs_id in order:
-                duration = self.manager.apply_switch_plan(ocs_id, plans[ocs_id])
+            for i, ocs_id in enumerate(order):
+                try:
+                    duration = self.manager.apply_switch_plan(ocs_id, plans[ocs_id])
+                except ControllerCrash:
+                    raise
+                except Exception as err:
+                    raise self.manager.abort_transaction(
+                        err, order[i:], order[:i], plans
+                    ) from err
                 max_duration = max(max_duration, duration)
                 self._step("txn-switch-applied")
                 self.wal.append(KIND_TXN_APPLY, {"ocs": ocs_id.index})
                 self._step("txn-apply-durable")
             self.wal.append(KIND_TXN_COMMIT, {})
-            self._remember(token, ("duration", max_duration))
+            self._remember(token, _token_spec(payload, max_duration))
             self._step("txn-commit-durable")
             self.manager.drop_stale_links()
             self.obs.metrics.counter("control.txn.commits").inc()
@@ -403,103 +401,13 @@ class RecoveryReport:
     state_digest: str
 
 
-def _replay_intent(
-    records: Tuple[WalRecord, ...],
-) -> Tuple[
-    Dict[str, Tuple[int, int, int]],
-    Dict[int, Dict[int, int]],
-    int,
-    str,
-    int,
-    Dict[str, Tuple[object, ...]],
-    set,
-]:
-    """Fold the committed record suffix into the intent model.
-
-    Returns ``(links, intended_circuits_per_switch, checkpoint_seq,
-    open_txn_outcome, replayed_count, tokens, evicted_tokens)``.
-    """
-    links: Dict[str, Tuple[int, int, int]] = {}
-    intended: Dict[int, Dict[int, int]] = {}
-    tokens: Dict[str, Tuple[object, ...]] = {}
-    evicted: set = set()
-    checkpoint_seq = -1
-    open_txn: Optional[Mapping[str, object]] = None
-    last_outcome = "none"
-    replayed = 0
-
-    def drop_stale_links() -> None:
-        stale = [
-            name
-            for name, (ocs, n, s) in links.items()
-            if intended.get(ocs, {}).get(n) != s
-        ]
-        for name in stale:
-            del links[name]
-
-    for record in records:
-        if record.kind == KIND_CHECKPOINT:
-            links.clear()
-            intended.clear()
-            tokens.clear()
-            evicted.clear()
-            open_txn = None
-            last_outcome = "none"
-            replayed = 0
-            checkpoint_seq = record.seq
-            for key, entry in sorted(record.payload["switches"].items()):  # type: ignore[index]
-                intended[int(key)] = _circuits_from_payload(entry["circuits"])
-            for name, ocs, n, s in record.payload["links"]:  # type: ignore[index]
-                links[str(name)] = (int(ocs), int(n), int(s))
-            for tok, *spec in record.payload.get("tokens", []):  # type: ignore[union-attr]
-                tokens[str(tok)] = tuple(spec)
-            evicted.update(
-                str(tok)
-                for tok in record.payload.get("evicted_tokens", [])  # type: ignore[union-attr]
-            )
-            continue
-        replayed += 1
-        if record.kind == KIND_OP:
-            p = record.payload
-            ocs, north, south = int(p["ocs"]), int(p["north"]), int(p["south"])
-            if p["op"] in ("establish", "adopt"):
-                intended.setdefault(ocs, {})[north] = south
-                links[str(p["link"])] = (ocs, north, south)
-                if "token" in p:
-                    tokens[str(p["token"])] = ("link", str(p["link"]), ocs, north, south)
-            else:  # teardown
-                circuits = intended.get(ocs, {})
-                if circuits.get(north) == south:
-                    del circuits[north]
-                links.pop(str(p["link"]), None)
-                if "token" in p:
-                    tokens[str(p["token"])] = ("none",)
-        elif record.kind == KIND_TXN_BEGIN:
-            open_txn = record.payload
-        elif record.kind == KIND_TXN_APPLY:
-            pass  # informational: which switches were programmed pre-crash
-        elif record.kind == KIND_TXN_COMMIT:
-            if open_txn is not None:
-                for key, entry in sorted(open_txn["targets"].items()):  # type: ignore[index]
-                    intended[int(key)] = _circuits_from_payload(entry)
-                drop_stale_links()
-                if "token" in open_txn:
-                    # Replayed transactions report zero duration: the
-                    # hardware work happened in the committed execution.
-                    tokens[str(open_txn["token"])] = ("duration", 0.0)
-                open_txn = None
-                last_outcome = "rolled-forward"
-        else:
-            raise RecoveryError(f"unknown WAL record kind {record.kind!r}")
-    if open_txn is not None:
-        # No commit marker: the transaction never happened, intent-wise.
-        # Hardware the crash left half-programmed is driven back to the
-        # journaled pre-state by the reconcile pass below.
-        last_outcome = "rolled-back"
-    # A record after the checkpoint resurrects its token's committed
-    # result, which makes the token replayable again.
-    evicted.difference_update(tokens)
-    return links, intended, checkpoint_seq, last_outcome, replayed, tokens, evicted
+def _intent_manager(checkpoint: Mapping[str, object]) -> FabricManager:
+    """A fabric manager of plain switches restored to ``checkpoint``."""
+    intent = FabricManager()
+    for key, entry in checkpoint["switches"].items():  # type: ignore[union-attr]
+        intent.add_switch(OcsId(int(key)), SimpleSwitch(int(entry["radix"])))
+    intent.restore(checkpoint)
+    return intent
 
 
 def recover(
@@ -524,22 +432,70 @@ def recover(
         wal = WriteAheadLog(storage)
         tail_dropped = wal.repair_tail()
         records = wal.records(strict=True)
-        (
-            links, intended, checkpoint_seq, open_txn, replayed, tokens, evicted,
-        ) = _replay_intent(records)
+
+        intent = FabricManager()
+        tokens: Dict[str, Tuple[object, ...]] = {}
+        evicted: set = set()
+        checkpoint_seq = -1
+        open_txn = "none"
+        pending: Optional[Mapping[str, object]] = None
+        replayed = 0
+
+        def commit(payload: Mapping[str, object]) -> None:
+            try:
+                apply_entry(intent, payload)
+            except ReproError as err:
+                raise RecoveryError(f"journal op {payload['op']!r} cannot replay: {err}") from err
+            if "token" in payload:
+                tokens[str(payload["token"])] = _token_spec(payload)
+
+        for record in records:
+            if record.kind == KIND_CHECKPOINT:
+                intent = _intent_manager(record.payload)
+                tokens = {
+                    str(tok): tuple(spec)
+                    for tok, *spec in record.payload.get("tokens", [])  # type: ignore[union-attr]
+                }
+                evicted = {
+                    str(tok)
+                    for tok in record.payload.get("evicted_tokens", [])  # type: ignore[union-attr]
+                }
+                checkpoint_seq = record.seq
+                open_txn = "none"
+                pending = None
+                replayed = 0
+                continue
+            replayed += 1
+            if record.kind == KIND_OP:
+                commit(record.payload)
+            elif record.kind == KIND_TXN_BEGIN:
+                pending = record.payload
+            elif record.kind == KIND_TXN_COMMIT:
+                if pending is not None:
+                    commit(pending)
+                    pending = None
+                    open_txn = "rolled-forward"
+            elif record.kind != KIND_TXN_APPLY:  # txn-apply is informational
+                raise RecoveryError(f"unknown WAL record kind {record.kind!r}")
+        if pending is not None:
+            # No commit marker: the transaction never happened, intent-wise.
+            # Hardware the crash left half-programmed is driven back to
+            # the intent below.
+            open_txn = "rolled-back"
+        # A record after the checkpoint resurrects its token's committed
+        # result, which makes the token replayable again.
+        evicted.difference_update(tokens)
 
         switches_repaired = 0
         circuits_driven = 0
-        for index in sorted(intended):
-            ocs_id = OcsId(index)
+        for ocs_id in intent.switch_ids:
             try:
                 sw = manager.switch(ocs_id)
             except TopologyError:
                 raise RecoveryError(
                     f"journal names {ocs_id} but it is not registered with the manager"
                 ) from None
-            target = CrossConnectMap.from_circuits(sw.radix, intended[index])
-            plan = plan_reconfiguration(sw.state, target)
+            plan = plan_reconfiguration(sw.state, intent.switch(ocs_id).state)
             if not plan.is_noop:
                 with obs.tracer.span(
                     "control.recover.drive", ocs=ocs_id,
@@ -548,10 +504,7 @@ def recover(
                     obs.clock.advance(sw.apply_plan(plan))
                 switches_repaired += 1
                 circuits_driven += plan.num_disturbed
-        manager.replace_links(
-            LogicalLink(LinkId(name), OcsId(ocs), north, south)
-            for name, (ocs, north, south) in sorted(links.items())
-        )
+        manager.replace_links(intent.links)
         bad = manager.verify_links()
         if bad:
             raise RecoveryError(

@@ -44,9 +44,10 @@ Fault wiring (:meth:`ReplicationGroup.attach_faults`): ``CONTROLLER_CRASH``
 kills a replica's volatile state (the durable promise + log survive,
 its manager is rebuilt by replay), ``NETWORK_PARTITION`` isolates a
 replica or splits the group, ``CLOCK_SKEW`` bends one replica's lease
-arithmetic.  Idempotency composes with PR 6's tokens: a committed
-``token`` resubmitted after failover replays its entry instead of
-appending a second one.
+arithmetic.  A submit's idempotency ``token`` rides in the entry
+payload: resubmitted after failover it replays its committed entry, and
+retried while an earlier attempt still sits uncommitted in the leader's
+log it re-ships that entry, so one token commits at most once.
 """
 
 from __future__ import annotations
@@ -100,18 +101,22 @@ class LogEntry:
 
 
 def apply_entry(manager: FabricManager, payload: Mapping[str, object]) -> None:
-    """Apply one committed operation to a replica's state machine.
+    """Apply one committed operation to a fabric manager.
 
-    The vocabulary matches the serving layer's commit log: ``noop``
-    (election barrier), ``establish``/``teardown`` (slice circuits), and
-    ``retarget`` (traffic updates: disconnect-then-connect per (ocs,
-    north) -> south, last writer wins).
+    The control plane's one op vocabulary, shared by the replicated log,
+    the serving layer's commit log and the durable controller's WAL (a
+    ``token`` key may ride along unread): ``noop`` (election barrier),
+    ``establish``/``adopt``/``teardown`` (one logical link),
+    ``retarget`` (per (ocs, north) -> south, last writer wins) and
+    ``reconfigure`` (``switches: [[ocs, breaks, makes], ...]``, applied
+    by :meth:`~repro.core.fabric_manager.FabricManager.reconfigure_delta`).
     """
     op = payload["op"]
     if op == "noop":
         return
-    if op == "establish":
-        manager.establish(
+    if op == "establish" or op == "adopt":
+        create = manager.establish if op == "establish" else manager.adopt_link
+        create(
             LinkId(str(payload["link"])),
             OcsId(int(payload["ocs"])),
             int(payload["north"]),
@@ -125,6 +130,12 @@ def apply_entry(manager: FabricManager, payload: Mapping[str, object]) -> None:
         for ocs_index, north, south in payload["changes"]:
             state = manager.switch(OcsId(int(ocs_index))).state
             state.retarget(int(north), int(south))
+        return
+    if op == "reconfigure":
+        manager.reconfigure_delta({
+            OcsId(int(ocs)): ([tuple(c) for c in breaks], [tuple(c) for c in makes])
+            for ocs, breaks, makes in payload["switches"]
+        })
         return
     raise ReplicationError(f"unknown replicated op {op!r}")
 
@@ -300,7 +311,7 @@ class ReplicationGroup:
     _outage_start_s: Optional[float] = field(init=False, default=None)
     _acked: List[CommitRecord] = field(init=False, default_factory=list)
     _epoch_leaders: Dict[int, int] = field(init=False, default_factory=dict)
-    _tokens: Dict[str, int] = field(init=False, default_factory=dict)
+    _tokens: Dict[str, LogEntry] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.num_replicas < 1:
@@ -409,9 +420,7 @@ class ReplicationGroup:
         self.obs.metrics.counter("control.replication.elections").inc()
         # Barrier: no entry from an earlier reign counts as committed
         # until it is covered by a current-epoch quorum ack (§5.4.2).
-        self._append_and_commit(
-            cand, {"op": "noop", "reason": "barrier"}, now_s, token=None
-        )
+        self._append_and_commit(cand, {"op": "noop", "reason": "barrier"}, now_s)
         self._close_outage(now_s)
         return epoch
 
@@ -464,6 +473,11 @@ class ReplicationGroup:
     def _commit(
         self, leader: ReplicaNode, acked: Sequence[ReplicaNode], now_s: float
     ) -> None:
+        # Every token that commits is burned, whichever commit carried it
+        # (its own submit, a barrier or a later entry's quorum ack).
+        for entry in leader.log[leader.commit_index :]:
+            if "token" in entry.payload:
+                self._tokens[str(entry.payload["token"])] = entry
         leader.commit_index = len(leader.log)
         leader.apply_committed()
         for n in acked:
@@ -471,14 +485,19 @@ class ReplicationGroup:
             n.apply_committed()
 
     def _append_and_commit(
-        self,
-        leader: ReplicaNode,
-        payload: Mapping[str, object],
-        now_s: float,
-        token: Optional[str],
+        self, leader: ReplicaNode, payload: Mapping[str, object], now_s: float
     ) -> LogEntry:
-        entry = LogEntry(epoch=leader.epoch, seq=len(leader.log), payload=dict(payload))
-        leader.log.append(entry)
+        """Append ``payload`` and commit it on a quorum ack.  A token
+        already in the leader's uncommitted suffix (an attempt that
+        missed its quorum) has that entry re-shipped, never a copy."""
+        token = payload.get("token")
+        pending = [
+            e for e in leader.log[leader.commit_index :]
+            if token is not None and e.payload.get("token") == token
+        ]
+        entry = pending[0] if pending else LogEntry(leader.epoch, len(leader.log), dict(payload))
+        if not pending:
+            leader.log.append(entry)
         acked = self._ship(leader, now_s)
         if 1 + len(acked) < self.quorum:
             # The entry stays as an uncommitted suffix of this node's
@@ -487,17 +506,15 @@ class ReplicationGroup:
             raise QuorumError(
                 f"commit at epoch {leader.epoch}: {1 + len(acked)}/{self.quorum} acks"
             )
-        prior = self._epoch_leaders.setdefault(entry.epoch, leader.index)
+        prior = self._epoch_leaders.setdefault(leader.epoch, leader.index)
         if prior != leader.index:
             raise ReplicationError(
-                f"two leaders committed in epoch {entry.epoch}: "
+                f"two leaders committed in epoch {leader.epoch}: "
                 f"controller-{prior} and controller-{leader.index}"
             )
         self._commit(leader, acked, now_s)
         self.commits += 1
         self.obs.metrics.counter("control.replication.commits").inc()
-        if token is not None:
-            self._tokens[token] = entry.seq
         self._acked.append(
             CommitRecord(
                 epoch=entry.epoch,
@@ -518,16 +535,16 @@ class ReplicationGroup:
     ) -> LogEntry:
         """Commit one operation through the current leader.
 
-        ``token`` composes with PR 6's idempotency machinery: a token
-        whose entry already committed replays that entry instead of
-        appending again (safe across failover -- committed entries
-        survive by Leader Completeness).
+        ``token`` rides in the entry payload and makes the submit
+        idempotent: a committed token replays its entry (safe across
+        failover -- committed entries survive by Leader Completeness),
+        and a retry never appends a second copy (see
+        :meth:`_append_and_commit`).
         """
-        if token is not None and token in self._tokens:
-            seq = self._tokens[token]
-            leader = self._best_node()
+        replay = self.committed_entry(token)
+        if replay is not None:
             self.obs.metrics.counter("control.replication.token_replays").inc()
-            return leader.log[seq]
+            return replay
         if self.leader_index is None:
             self.note_outage(now_s)
             raise NotLeaderError("no elected leader")
@@ -542,12 +559,19 @@ class ReplicationGroup:
                 # succeeds and the write proceeds under the new epoch;
                 # otherwise the QuorumError routes to failover.
                 self.elect(leader.index, now_s)
-            entry = self._append_and_commit(leader, payload, now_s, token)
+            # The renewal's barrier may have committed an earlier attempt.
+            entry = self.committed_entry(token) or self._append_and_commit(
+                leader, payload if token is None else {**payload, "token": token}, now_s
+            )
             self._close_outage(now_s)  # commit capability is back
             return entry
         except QuorumError:
             self.note_outage(now_s)
             raise
+
+    def committed_entry(self, token: Optional[str]) -> Optional[LogEntry]:
+        """The committed entry carrying ``token``, if any."""
+        return self._tokens.get(token) if token is not None else None
 
     def submit_as(
         self,
@@ -573,7 +597,9 @@ class ReplicationGroup:
             raise NotLeaderError(f"controller-{index} is down")
         if node.role is not Role.LEADER:
             raise NotLeaderError(f"controller-{index} is not a leader")
-        return self._append_and_commit(node, payload, now_s, token)
+        return self._append_and_commit(
+            node, payload if token is None else {**payload, "token": token}, now_s
+        )
 
     def heartbeat(self, now_s: float) -> bool:
         """Leader lease renewal + follower catch-up; True if it landed."""
@@ -671,9 +697,11 @@ class ReplicationGroup:
                 lost += 1
         return lost
 
-    def committed_entries(self) -> Tuple[LogEntry, ...]:
+    def committed_entries(self, start: int = 0) -> Tuple[LogEntry, ...]:
+        """The committed log from position ``start`` on, as the most
+        authoritative live replica knows it."""
         node = self._best_node()
-        return tuple(node.log[: node.commit_index])
+        return tuple(node.log[start : node.commit_index])
 
     def state_digest(self) -> str:
         return self._best_node().state_digest()

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple
 
 from repro.core.crossconnect import Circuit, CrossConnectMap
 from repro.core.errors import (
@@ -272,17 +272,9 @@ class FabricManager:
                 try:
                     duration = self.apply_switch_plan(ocs_id, plans[ocs_id])
                 except Exception as err:
-                    rolled_back = self._undo_applied(applied, plans)
-                    self.obs.metrics.counter("fabric.reconfig.rollbacks").inc()
-                    span.set_attr("rolled_back", rolled_back)
-                    raise PartialTransactionError(
-                        f"programming {ocs_id} raised mid-transaction ({err}); "
-                        f"applied switches {'restored' if rolled_back else 'NOT restored'}",
-                        ocs_id=ocs_id,
-                        applied=applied,
-                        unapplied=order[i:],
-                        rolled_back=rolled_back,
-                    ) from err
+                    error = self.abort_transaction(err, order[i:], applied, plans)
+                    span.set_attr("rolled_back", error.rolled_back)
+                    raise error from err
                 applied.append(ocs_id)
                 max_duration = max(max_duration, duration)
             self.drop_stale_links()
@@ -294,22 +286,32 @@ class FabricManager:
             )
         return max_duration
 
-    def _undo_applied(
-        self, applied: List[OcsId], plans: Mapping[OcsId, ReconfigPlan]
-    ) -> bool:
-        """Roll already-applied switches back, newest first.
+    def abort_transaction(
+        self, err: Exception, unapplied: Sequence[OcsId], applied: Sequence[OcsId],
+        plans: Mapping[OcsId, ReconfigPlan],
+    ) -> PartialTransactionError:
+        """Roll ``applied`` switches back, newest first, after programming
+        ``unapplied[0]`` raised ``err``; returns the error to raise.
 
-        Returns True when every switch verifiably matches its plan's
-        pre-image again; undo failures are swallowed (the caller is
-        already raising) and reported as ``False``.
+        Its ``rolled_back`` is True when every switch verifiably matches
+        its plan's pre-image again; undo failures are swallowed (the
+        caller is already raising) and reported as ``False``.
         """
-        ok = True
+        rolled_back = True
         for ocs_id in reversed(applied):
             try:
-                ok = self.undo_switch_plan(ocs_id, plans[ocs_id]) and ok
+                rolled_back = self.undo_switch_plan(ocs_id, plans[ocs_id]) and rolled_back
             except Exception:
-                ok = False
-        return ok
+                rolled_back = False
+        self.obs.metrics.counter("fabric.reconfig.rollbacks").inc()
+        return PartialTransactionError(
+            f"programming {unapplied[0]} raised mid-transaction ({err}); "
+            f"applied switches {'restored' if rolled_back else 'NOT restored'}",
+            ocs_id=unapplied[0],
+            applied=applied,
+            unapplied=unapplied,
+            rolled_back=rolled_back,
+        )
 
     def undo_switch_plan(self, ocs_id: OcsId, plan: ReconfigPlan) -> bool:
         """Apply ``plan.inverse()`` to a switch that realized ``plan``.

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import replace
 from typing import Dict, List, Optional
 
@@ -150,13 +151,7 @@ def run_serve_drill(
         build_fault_timeline(injector, horizon_s)
         service = FabricService(config, obs=obs, sink=sink)
         report = service.run(requests, faults=injector)
-
-        replay_digest = replay_committed(config, report.commit_log)
-        if replay_digest != report.state_digest:
-            raise ServeError(
-                "replay divergence: live state "
-                f"{report.state_digest[:12]} != replayed {replay_digest[:12]}"
-            )
+        replay_digest = _checked_replay(config, report)
 
     summary = report.summary()
     summary["replay_digest"] = replay_digest
@@ -233,13 +228,7 @@ def _run_drill_cell(task: Dict[str, object], seed_seq=None) -> Dict[str, object]
     sink = StreamingRecordSink(seed=sink_seed)
     service = FabricService(config, sink=sink)
     report = service.run(requests, faults=injector)
-
-    replay_digest = replay_committed(config, report.commit_log)
-    if replay_digest != report.state_digest:
-        raise ServeError(
-            f"cell {cell}: replay divergence: live state "
-            f"{report.state_digest[:12]} != replayed {replay_digest[:12]}"
-        )
+    replay_digest = _checked_replay(config, report, f"cell {cell}: ")
     aggregates = report.aggregates
     assert aggregates is not None
     return {
@@ -420,6 +409,44 @@ def build_failover_timeline(
         cycle += 1
 
 
+def _checked_replay(config: ServeConfig, report, where: str = "") -> str:
+    """:func:`replay_committed` over the run's commit log; raises
+    :class:`ServeError` unless it reproduces the live state digest."""
+    replay_digest = replay_committed(config, report.commit_log)
+    if replay_digest != report.state_digest:
+        raise ServeError(
+            f"{where}replay divergence: live state "
+            f"{report.state_digest[:12]} != replayed {replay_digest[:12]}"
+        )
+    return replay_digest
+
+
+def check_committed_tokens(report, committed) -> None:
+    """Every op in the replicated ``committed`` log is accounted for once.
+
+    No token commits twice, the report's commit log projects exactly the
+    committed non-noop entries, and each of its rows is a request
+    recorded OK (batch members included), an ``undo-`` compensation or
+    a counted late commit.  Raises :class:`ServeError` otherwise.
+    """
+    tokens = [e.payload["token"] for e in committed if e.payload["op"] != "noop"]
+    twice = sorted(t for t, n in Counter(tokens).items() if n > 1)
+    if twice:
+        raise ServeError(f"tokens committed more than once: {', '.join(twice)}")
+    rows = report.commit_log
+    projected = [
+        row.payload["token"] for i, row in enumerate(rows)
+        if i == 0 or row.payload is not rows[i - 1].payload
+    ]
+    if projected != tokens:
+        raise ServeError("the commit log is not a projection of the committed log")
+    accounted = {r.request.request_id for r in report.records if r.outcome is Outcome.OK}
+    accounted.update(report.late_commits)
+    for row in rows:
+        if row.request_id not in accounted and not row.request_id.startswith("undo-"):
+            raise ServeError(f"{row.request_id} committed but was neither OK nor late")
+
+
 def run_failover_drill(
     seed: int = 0,
     smoke: bool = True,
@@ -457,13 +484,7 @@ def run_failover_drill(
         build_failover_timeline(injector, horizon_s, num_replicas)
         service = FabricService(config, obs=obs)
         report = service.run(requests, faults=injector)
-
-        replay_digest = replay_committed(config, report.commit_log)
-        if replay_digest != report.state_digest:
-            raise ServeError(
-                "replay divergence: live state "
-                f"{report.state_digest[:12]} != replayed {replay_digest[:12]}"
-            )
+        replay_digest = _checked_replay(config, report)
         group = service.replication
         assert group is not None
         if group.state_digest() != group.replay_digest():
@@ -472,6 +493,7 @@ def run_failover_drill(
             raise ServeError(
                 f"{report.committed_ops_lost} client-acked commits lost"
             )
+        check_committed_tokens(report, group.committed_entries())
 
     summary = report.summary()
     summary["replay_digest"] = replay_digest
@@ -520,6 +542,7 @@ def report_records(report) -> List[Dict[str, object]]:
 __all__ = [
     "build_fault_timeline",
     "build_failover_timeline",
+    "check_committed_tokens",
     "drill_config",
     "merge_cell_results",
     "run_serve_drill",

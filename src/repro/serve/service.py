@@ -37,7 +37,12 @@ commit on the :class:`~repro.control.replication.ReplicationGroup`, the
 journaled :class:`~repro.control.journal.DurableController` call
 (:meth:`FabricService.run_reference`), or ``apply_entry`` straight on
 the manager once :meth:`FabricService.run` has detached the journal.
-The commit log stores each committed request with its op.
+The commit log stores each committed request with its op.  Replicated,
+it is a projection of the group's committed log, read wherever the
+commit index can advance: an op that commits although its request
+ended non-OK (an attempt that missed its quorum, carried by a later
+commit) is a counted *late commit*, resolved one fixed way
+(:meth:`FabricService._late_commit`).
 
 **Determinism and replay.**  The service is a serial discrete-event
 loop over (arrival, batch-flush, maintenance, serve) events; all
@@ -316,6 +321,8 @@ class ServeReport:
     committed_ops_lost: int = 0
     failover_durations_s: Tuple[float, ...] = ()
     failover_unavailable_s: float = 0.0
+    #: Tokens of ops that committed after their request ended non-OK.
+    late_commits: Tuple[str, ...] = ()
 
     #: Streaming-mode roll-up: populated (and ``records`` left empty)
     #: when the service ran with a :class:`StreamingRecordSink`.
@@ -390,6 +397,7 @@ class ServeReport:
                     "committed_ops_lost": self.committed_ops_lost,
                     "failover_p99_s": round(self.failover_percentile_s(0.99), 6),
                     "failover_unavailable_s": round(self.failover_unavailable_s, 6),
+                    "late_commits": len(self.late_commits),
                 }
             )
         return out
@@ -548,8 +556,14 @@ class FabricService:
             "counter", "serve.maintenance.deferred"
         )
 
-        # Mutable run state.
+        # Mutable run state.  The commit log gets one row per committed op
+        # under its token (a flushed batch's becomes one per member);
+        # replicated, it projects the group's log from ``_synced`` on.
         self._commit_log: List[CommitEntry] = []
+        self._synced = 0
+        self._failed: set = set()
+        self._late: List[str] = []
+        self._undo: Dict[str, Mapping[str, object]] = {}
         self._allocs: Dict[str, JobRequest] = {}
         self._batch: List[TenantRequest] = []
         self._batch_due_s = 0.0
@@ -686,6 +700,7 @@ class FabricService:
         self.replication.note_outage(t)
         if not self.replication.elect_reachable(t):
             return False
+        self._sync_commits(t)  # the barrier may carry earlier attempts
         self._failovers += 1
         self.obs.metrics.counter("serve.failovers").inc()
         return True
@@ -732,7 +747,23 @@ class FabricService:
         within its deadline (-> ``TIMEOUT``).  The op commits through
         :meth:`_commit` only on a successful attempt (real exceptions
         propagate -- they are bugs, not overload).
+
+        Replicated, a later commit can still carry an attempt that missed
+        its quorum: see :meth:`_late_commit`.
         """
+        result = self._attempt_loop(t, work_ms, token, op_for)
+        if self.replication is not None and result[0] is not Outcome.OK and result[2]:
+            entry = self.replication.committed_entry(token)
+            if entry is None:
+                self._failed.add(token)
+            else:
+                self._late_commit(token, entry.payload)
+                self._sync_commits(result[1])
+        return result
+
+    def _attempt_loop(
+        self, t: float, work_ms: float, token: str, op_for
+    ) -> Tuple[Outcome, float, int, str]:
         attempts = 0
         detail = ""
         work_s = work_ms / 1e3
@@ -771,20 +802,23 @@ class FabricService:
     def _commit(self, payload: Mapping[str, object], token: str, t: float) -> None:
         """Commit one op at ``t``: the only place the control planes differ.
 
-        Replicated: a quorum commit through the group's leader.  No
-        journal (:meth:`run`): :func:`apply_entry` straight on the
-        manager.  Journaled (:meth:`run_reference`): the equivalent
+        Replicated: a quorum commit through the group's leader, whose
+        committed log the commit log then projects.  No journal
+        (:meth:`run`): :func:`apply_entry` straight on the manager.
+        Journaled (:meth:`run_reference`): the equivalent
         :class:`DurableController` call -- the independently derived
         oracle the other two are pinned against.
         """
         if self.replication is not None:
-            self.replication.submit(payload, t, token=token)
-            return
-        if self.controller is None:
-            apply_entry(self.manager, payload)
+            try:
+                self.replication.submit(payload, t, token=token)
+            finally:
+                self._sync_commits(t)
             return
         op = payload["op"]
-        if op == "establish":
+        if self.controller is None:
+            apply_entry(self.manager, payload)
+        elif op == "establish":
             self.controller.establish(
                 LinkId(str(payload["link"])),
                 OcsId(int(payload["ocs"])),
@@ -802,6 +836,51 @@ class FabricService:
                     targets[ocs] = self.manager.switch(ocs).state.copy()
                 targets[ocs].retarget(north, south)
             self.controller.reconfigure(targets, token=token)
+        self._commit_log.append(CommitEntry(token, payload))
+
+    def _sync_commits(self, t: float) -> None:
+        """Append the group's newly committed ops to the commit log.
+
+        Called wherever the commit index can advance (a submit, an
+        election, a heartbeat) and at end of run.  Late commits found
+        here are resolved at once; pending compensations are submitted
+        until one cannot commit.
+        """
+        group = self.replication
+        assert group is not None
+        while True:
+            for entry in group.committed_entries(self._synced):
+                self._synced += 1
+                token = entry.payload.get("token")
+                if token is not None:  # not an election barrier
+                    self._commit_log.append(CommitEntry(str(token), entry.payload))
+                    if token in self._failed:
+                        self._failed.discard(token)
+                        self._late_commit(str(token), entry.payload)
+            if not self._undo or not group.leader_serviceable():
+                return
+            token, payload = next(iter(self._undo.items()))
+            try:
+                group.submit(payload, t, token=token)
+            except ReplicationError:
+                return  # still pending at the next sync
+            del self._undo[token]
+
+    def _late_commit(self, token: str, payload: Mapping[str, object]) -> None:
+        """Count and resolve an op that committed although its request
+        ended non-OK, one fixed way per op: a late ``establish`` holds a
+        port the request gave up, so a compensating ``teardown`` (token
+        ``undo-<request id>``) removes its link; a late ``teardown``
+        stands and releases its slice; a late ``retarget`` stands, since
+        it holds no resource and the tenant's next update supersedes it.
+        """
+        self._late.append(token)
+        if payload["op"] == "establish":
+            self._undo[f"undo-{token}"] = {"op": "teardown", "link": payload["link"]}
+        elif payload["op"] == "teardown":
+            job = self._allocs.pop(str(payload["link"])[len("sl-"):], None)
+            if job is not None:
+                self.allocator.release(job)
 
     def _serve_op(
         self,
@@ -820,8 +899,6 @@ class FabricService:
             request.request_id,
             lambda _t, done_s, _attempts: payload if done_s <= deadline_s else None,
         )
-        if outcome is Outcome.OK:
-            self._commit_log.append(CommitEntry(request.request_id, payload))
         self._record(request, outcome, t_end, attempts=attempts, detail=detail)
         return outcome, t_end
 
@@ -957,13 +1034,17 @@ class FabricService:
             payload = self._retarget_op(members) if members else None
             return payload
 
+        token = f"batch-{self._batch_seq:05d}"
         outcome, t_end, attempts, detail = self._run_attempts(
-            t, self.config.batch_flush_ms, f"batch-{self._batch_seq:05d}", live_op
+            t, self.config.batch_flush_ms, token, live_op
         )
         if outcome is Outcome.OK:
             detail = "batched"
-            for m in members:
-                self._commit_log.append(CommitEntry(m.request_id, payload))
+            log = self._commit_log
+            i = len(log) - 1
+            while log[i].request_id != token:
+                i -= 1
+            log[i : i + 1] = [CommitEntry(m.request_id, log[i].payload) for m in members]
             self._batches_flushed += 1
             self._batches_counter.inc()
             self._batch_size_hist.observe(float(len(members)))
@@ -1110,6 +1191,7 @@ class FabricService:
                             self._maintenance_deferred += 1
                             self._maint_deferred_counter.inc()
                         else:
+                            self._sync_commits(when)
                             self._maintenance_runs += 1
                             self._maint_runs_counter.inc()
                             server_free = (
@@ -1147,8 +1229,10 @@ class FabricService:
             # fault (and recovery) that fired while it was still busy,
             # so a clear scheduled during the final drain is not lost.
             advance(max(now, server_free))
-            if self.replication is not None:
-                self.replication.finalize_outage(max(now, server_free))
+            group = self.replication
+            if group is not None:
+                self._sync_commits(max(now, server_free))
+                group.finalize_outage(max(now, server_free))
 
             if self._sink.total_recorded != self._offered:
                 raise ServeError(
@@ -1189,29 +1273,14 @@ class FabricService:
                     faults.delivered_digest() if faults is not None else ""
                 ),
                 failovers=self._failovers,
-                elections=(
-                    self.replication.elections if self.replication is not None else 0
-                ),
-                fencing_rejections=(
-                    self.replication.fencing_rejections
-                    if self.replication is not None
-                    else 0
-                ),
-                committed_ops_lost=(
-                    self.replication.committed_ops_lost()
-                    if self.replication is not None
-                    else 0
-                ),
-                failover_durations_s=(
-                    tuple(self.replication.failover_durations_s)
-                    if self.replication is not None
-                    else ()
-                ),
-                failover_unavailable_s=(
-                    self.replication.unavailable_s
-                    if self.replication is not None
-                    else 0.0
-                ),
+                late_commits=tuple(self._late),
+                **({} if group is None else dict(
+                    elections=group.elections,
+                    fencing_rejections=group.fencing_rejections,
+                    committed_ops_lost=group.committed_ops_lost(),
+                    failover_durations_s=tuple(group.failover_durations_s),
+                    failover_unavailable_s=group.unavailable_s,
+                )),
             )
             self.obs.metrics.gauge("serve.offered").set(float(report.offered))
             self.obs.metrics.gauge("serve.admitted").set(float(report.admitted))

@@ -9,6 +9,7 @@ from repro.core.errors import (
     ConfigurationError,
     ControllerCrash,
     CrossConnectError,
+    PartialTransactionError,
     PortInUseError,
     RecoveryError,
 )
@@ -222,3 +223,62 @@ class TestRecoveryErrors:
         _, ra = recover(build_manager(), bytearray(storage))
         _, rb = recover(build_manager(), bytearray(storage))
         assert ra.state_digest == rb.state_digest
+
+
+class FlakySwitch(SimpleSwitch):
+    """A map-only switch whose next ``apply_plan`` can be made to raise."""
+
+    fail_next = False
+
+    def apply_plan(self, plan):
+        if self.fail_next:
+            self.fail_next = False
+            raise RuntimeError("injected switch fault")
+        return super().apply_plan(plan)
+
+
+class TestSwitchFaultMidTransaction:
+    def build(self):
+        mgr = FabricManager()
+        for i in range(NUM_OCSES):
+            mgr.add_switch(OcsId(i), FlakySwitch(RADIX))
+        ctl = DurableController(manager=mgr)
+        seed_links(ctl)
+        return mgr, ctl
+
+    def test_failed_switch_rolls_back_applied_switches(self):
+        mgr, ctl = self.build()
+        before = mgr.state_digest()
+        mgr.switch(OcsId(1)).fail_next = True
+        with pytest.raises(PartialTransactionError) as exc:
+            ctl.reconfigure(shifted_targets(mgr))
+        assert exc.value.rolled_back
+        assert exc.value.applied == (OcsId(0),)
+        assert exc.value.unapplied == (OcsId(1), OcsId(2))
+        assert mgr.verify_links() == ()
+        assert mgr.state_digest() == before
+        # A recovery from the same journal agrees with the live fabric.
+        _, report = recover(build_manager(), bytearray(ctl.wal.storage))
+        assert report.open_txn == "rolled-back"
+        assert report.state_digest == before
+
+    def test_token_stays_spendable_after_rollback(self):
+        mgr, ctl = self.build()
+        mgr.switch(OcsId(2)).fail_next = True
+        with pytest.raises(PartialTransactionError):
+            ctl.reconfigure(shifted_targets(mgr), token="t-rc")
+        ctl.reconfigure(shifted_targets(mgr), token="t-rc")
+        moved = mgr.state_digest()
+        _, report = recover(build_manager(), bytearray(ctl.wal.storage))
+        assert report.open_txn == "rolled-forward"
+        assert report.state_digest == moved
+
+    def test_controller_crash_is_not_rolled_back(self):
+        mgr, ctl = self.build()
+        crash = CrashSchedule(at_step=3)  # after OCS 0 is programmed
+        ctl.crash = crash
+        ctl.wal.crash = crash
+        with pytest.raises(ControllerCrash):
+            ctl.reconfigure(shifted_targets(mgr))
+        assert crash.fired_label == "txn-switch-applied"
+        assert len(mgr.verify_links()) == 2  # OCS 0 stays moved until recovery

@@ -90,6 +90,50 @@ class TestElectionAndCommit:
         assert epoch > 1
 
 
+class TestTokenDedupe:
+    def test_retries_of_one_token_commit_once(self):
+        # An isolated leader keeps every attempt in its uncommitted
+        # suffix.  Retrying the token must re-ship that entry, not append
+        # copies that the next election's barrier would all commit.
+        group = make_group(lease_s=5.0)
+        injector = FaultInjector(seed=0)
+        group.attach_faults(injector)
+        injector.schedule(
+            1.0, FaultKind.NETWORK_PARTITION, controller_target(0),
+            clear_after_s=1.0,
+        )
+        injector.advance_to(1.0)
+        for k in range(3):
+            with pytest.raises(QuorumError):
+                group.submit(RETARGET, 1.1 + 0.1 * k, token="t-x")
+        assert len(group.nodes[0].log) == 2  # barrier + one attempt
+        injector.advance_to(2.5)
+        group.elect(0, 2.5)
+        retargets = [
+            e for e in group.committed_entries() if e.payload["op"] == "retarget"
+        ]
+        assert [e.payload["token"] for e in retargets] == ["t-x"]
+        # The barrier burned the token: a further retry replays it.
+        again = group.submit(RETARGET, 2.6, token="t-x")
+        assert again.seq == retargets[0].seq
+        assert len(group.committed_entries()) == 3
+        assert group.state_digest() == group.replay_digest()
+
+
+class TestOpVocabulary:
+    def test_adopt_and_reconfigure_ops(self):
+        mgr = build_manager()
+        apply_entry(mgr, {"op": "establish", "link": "a", "ocs": 0, "north": 0, "south": 4})
+        apply_entry(
+            mgr,
+            {"op": "reconfigure", "switches": [[0, [[0, 4]], [[0, 5], [1, 6]]]]},
+        )
+        assert mgr.links == ()  # the moved circuit dropped its link
+        apply_entry(mgr, {"op": "adopt", "link": "b", "ocs": 0, "north": 1, "south": 6})
+        assert sorted(mgr.switch(OcsId(0)).state.circuits) == [(0, 5), (1, 6)]
+        assert [str(link.link_id) for link in mgr.links] == ["b"]
+
+
 class TestFencing:
     def deposed_leader(self, group: ReplicationGroup):
         """Partition the leader away, elect a successor, heal -- the old

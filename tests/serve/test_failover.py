@@ -13,10 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.errors import ConfigurationError, ServeError
+from repro.core.errors import ConfigurationError
+from repro.faults.events import FaultKind, controller_target
 from repro.faults.injector import FaultInjector
 from repro.serve.drill import build_failover_timeline, run_failover_drill
-from repro.serve.service import FabricService, ServeConfig
+from repro.serve.requests import Outcome, RequestKind, TenantRequest
+from repro.serve.service import FabricService, ServeConfig, replay_committed
 from repro.tools.noc import scenario_slos
 
 THRESHOLDS = json.loads(
@@ -111,17 +113,70 @@ class TestTimeline:
         assert {"controller-crash", "network-partition", "clock-skew"} <= kinds
 
 
-class TestKnownDivergence:
-    @pytest.mark.xfail(strict=True, raises=ServeError, reason=(
-        "replay diverged: rq-007276 committed port 29 but replay would "
-        "choose 28.  The establish for rq-006422 raised QuorumError on all "
-        "4 attempts, so the serve layer recorded it as ERROR, released its "
-        "cubes and wrote no commit-log entry; the entry stayed in a "
-        "replica's log and a later election's noop barrier committed it.  "
-        "The ghost link sl-rq-006422 holds port 28, so the live run gave "
-        "rq-007276 port 29.  Fix: build the serve commit log from "
-        "replication.committed_entries(), or dedupe retries by token "
-        "against uncommitted suffixes."
-    ))
-    def test_uncommitted_establish_committed_by_later_election(self):
-        run_failover_drill(seed=0, smoke=False, num_primaries=10_000)
+class TestLateCommits:
+    def test_establish_committed_by_later_election_is_compensated(self):
+        # All 4 establish attempts for rq-006422 miss their quorum, so the
+        # request ends ERROR; a later election's barrier still commits its
+        # entry.  The commit log projects the replicated log, so the late
+        # establish is in it, counted, and undone by a compensating
+        # teardown -- and the serial replay matches the live state.
+        out = run_failover_drill(seed=0, smoke=False, num_primaries=10_000)
+        summary, report = out["summary"], out["report"]
+        assert summary["replay_digest"] == summary["state_digest"]
+        assert summary["late_commits"] >= 1
+        assert "rq-006422" in report.late_commits
+        undo = [e for e in report.commit_log if e.request_id == "undo-rq-006422"]
+        assert [e.payload["op"] for e in undo] == ["teardown"]
+        assert undo[0].payload["link"] == "sl-rq-006422"
+        outcome = {r.request.request_id: r.outcome for r in report.records}
+        assert outcome["rq-006422"] is Outcome.ERROR
+
+    def test_late_establish_and_teardown_resolve_one_fixed_way(self):
+        # Both followers are down from 0.2 s to 1.2 s: the leader keeps
+        # serving, but every commit misses its quorum, so the second
+        # alloc and the release end ERROR with their entries in the
+        # leader's log.  The traffic update after the followers return
+        # commits them along with its own entry.
+        config = ServeConfig(
+            seed=0, num_controller_replicas=3, num_tenants=16,
+            num_traffic_ocses=2, allocator_cubes=8,
+        )
+
+        def request(i, kind, t, **params):
+            return TenantRequest(
+                f"rq-{i:06d}", "t-001", kind, t, t + 5.0,
+                params=tuple(params.items()), seq=i,
+            )
+
+        requests = [
+            request(0, RequestKind.SLICE_ALLOC, 0.01, cubes=2),
+            request(1, RequestKind.SLICE_ALLOC, 0.25, cubes=2),
+            request(2, RequestKind.SLICE_RELEASE, 0.30, slice="rq-000000"),
+            request(3, RequestKind.TRAFFIC_UPDATE, 1.50, bank=1),
+        ]
+        injector = FaultInjector(seed=0)
+        for i in (1, 2):
+            injector.schedule(
+                0.2, FaultKind.CONTROLLER_CRASH, controller_target(i),
+                clear_after_s=1.0,
+            )
+        service = FabricService(config)
+        report = service.run(requests, faults=injector)
+        outcome = {r.request.request_id: r.outcome for r in report.records}
+        assert outcome == {
+            "rq-000000": Outcome.OK, "rq-000001": Outcome.ERROR,
+            "rq-000002": Outcome.ERROR, "rq-000003": Outcome.OK,
+        }
+        assert report.late_commits == ("rq-000001", "rq-000002")
+        assert [e.request_id for e in report.commit_log] == [
+            "rq-000000", "rq-000001", "rq-000002", "rq-000003",
+            "undo-rq-000001",
+        ]
+        # The late establish is undone and the late release stands: no
+        # slice link is left and every cube is free again.
+        assert service.manager.links == ()
+        assert service._allocs == {}
+        assert len(service.allocator.pod.healthy_free_cubes()) == 8
+        assert replay_committed(config, report.commit_log) == report.state_digest
+        group = service.replication
+        assert group.state_digest() == group.replay_digest()
