@@ -18,8 +18,11 @@ if any) -- the vocabulary of the replicated and serving commit logs too.
   is one ``reconfigure`` op holding each switch's breaks and makes from
   the hitless plans (so its size follows the circuits that move, not
   the radix), per-switch ``txn-apply`` records land as each switch is
-  programmed, and a ``txn-commit`` marker seals the batch.  A switch
-  that raises mid-way rolls the programmed ones back by inverse plans;
+  programmed, and a ``txn-commit`` marker seals the batch.  The
+  manager's one transaction loop (:meth:`~repro.core.fabric_manager.
+  FabricManager.transact`) programs the switches, so a switch that
+  raises mid-way gets its inverse-plan rollback, while a controller
+  crash propagates untouched for recovery to settle;
 - ``checkpoint()`` snapshots the whole control plane into the log and
   compacts everything older.
 
@@ -44,7 +47,6 @@ from typing import Dict, Mapping, Optional, Tuple
 from repro.core.crossconnect import CrossConnectMap
 from repro.core.errors import (
     ConfigurationError,
-    ControllerCrash,
     CrossConnectError,
     IdempotencyError,
     PortInUseError,
@@ -54,7 +56,7 @@ from repro.core.errors import (
 )
 from repro.core.fabric_manager import FabricManager, LogicalLink, SimpleSwitch
 from repro.core.ids import LinkId, OcsId
-from repro.core.reconfig import plan_reconfiguration
+from repro.core.reconfig import ReconfigPlan, plan_reconfiguration
 from repro.control.replication import apply_entry
 from repro.control.wal import CrashSchedule, WalRecord, WriteAheadLog
 from repro.obs import NULL_OBS, Observability
@@ -289,54 +291,50 @@ class DurableController:
         """Journaled multi-OCS reconfiguration.
 
         ``txn-begin`` (one ``reconfigure`` op: each switch's breaks and
-        makes) -> per-switch apply + ``txn-apply`` -> ``txn-commit``.  A
+        makes) -> per-switch apply + ``txn-apply`` -> ``txn-commit``,
+        programmed by the manager's transaction loop
+        (:meth:`~repro.core.fabric_manager.FabricManager.transact`).  A
         crash at any point recovers deterministically: forward past the
-        commit marker, back before it.  A switch whose ``apply_plan``
-        raises (anything but a :class:`~repro.core.errors.
-        ControllerCrash`) rolls every switch already programmed back by
-        its inverse plan and raises :class:`~repro.core.errors.
-        PartialTransactionError`; the transaction never commits, so the
-        live fabric and a recovery from the journal agree.  The token
-        (if any) rides on ``txn-begin`` but is only burned by the commit
-        marker -- a rolled-back transaction leaves its token spendable,
-        so the retry re-executes.
+        commit marker, back before it.  A switch that raises anything but
+        a :class:`~repro.core.errors.ControllerCrash` gets the loop's
+        rollback and :class:`~repro.core.errors.PartialTransactionError`;
+        the transaction never commits, so the live fabric and a recovery
+        from the journal agree.  The token (if any) rides on
+        ``txn-begin`` but is only burned by the commit marker -- a
+        rolled-back transaction leaves its token spendable, so the retry
+        re-executes.
         """
         replay = self._token_replay(token, "reconfigure")
         if replay is not _TOKEN_MISS:
             return float(replay)  # type: ignore[arg-type]
         plans = self.manager.plan(targets)
-        order = sorted(plans)
         payload: Dict[str, object] = {
             "op": "reconfigure",
             "switches": [
                 [ocs_id.index, sorted(map(list, plans[ocs_id].breaks)),
                  sorted(map(list, plans[ocs_id].makes))]
-                for ocs_id in order
+                for ocs_id in sorted(plans)
             ],
         }
         if token is not None:
             payload["token"] = token
         self.wal.append(KIND_TXN_BEGIN, payload)
         self._step("txn-begin-durable")
-        max_duration = 0.0
-        with self.obs.tracer.span("control.txn", switches=len(order)):
-            for i, ocs_id in enumerate(order):
-                try:
-                    duration = self.manager.apply_switch_plan(ocs_id, plans[ocs_id])
-                except ControllerCrash:
-                    raise
-                except Exception as err:
-                    raise self.manager.abort_transaction(
-                        err, order[i:], order[:i], plans
-                    ) from err
-                max_duration = max(max_duration, duration)
-                self._step("txn-switch-applied")
-                self.wal.append(KIND_TXN_APPLY, {"ocs": ocs_id.index})
-                self._step("txn-apply-durable")
+
+        def program(ocs_id: OcsId, plan: ReconfigPlan) -> float:
+            duration = self.manager.apply_switch_plan(ocs_id, plan)
+            self._step("txn-switch-applied")
+            self.wal.append(KIND_TXN_APPLY, {"ocs": ocs_id.index})
+            self._step("txn-apply-durable")
+            return duration
+
+        def commit() -> None:
             self.wal.append(KIND_TXN_COMMIT, {})
-            self._remember(token, _token_spec(payload, max_duration))
             self._step("txn-commit-durable")
-            self.manager.drop_stale_links()
+
+        with self.obs.tracer.span("control.txn", switches=len(plans)):
+            max_duration = self.manager.transact(plans, program, commit)
+            self._remember(token, _token_spec(payload, max_duration))
             self.obs.metrics.counter("control.txn.commits").inc()
         return max_duration
 

@@ -183,7 +183,6 @@ class ReplicaNode:
     role: Role = Role.FOLLOWER
     epoch: int = 0
     lease_holder: Optional[int] = None
-    lease_epoch: int = 0
     lease_expiry_local_s: float = float("-inf")
     commit_index: int = 0
     applied_index: int = 0
@@ -212,9 +211,8 @@ class ReplicaNode:
             and self.local_now(now_s) <= self.lease_expiry_local_s
         )
 
-    def grant_lease(self, holder: int, epoch: int, now_s: float, lease_s: float) -> None:
+    def grant_lease(self, holder: int, now_s: float, lease_s: float) -> None:
         self.lease_holder = holder
-        self.lease_epoch = epoch
         self.lease_expiry_local_s = self.local_now(now_s) + lease_s
 
     # -- crash / restart ----------------------------------------------- #
@@ -225,7 +223,6 @@ class ReplicaNode:
         self.role = Role.FOLLOWER
         self.epoch = 0
         self.lease_holder = None
-        self.lease_epoch = 0
         self.lease_expiry_local_s = float("-inf")
         self.commit_index = 0
         self.applied_index = 0
@@ -405,7 +402,7 @@ class ReplicationGroup:
         # A *live* leader's lease is refreshed by its heartbeats/ships,
         # so the refusal window above still protects it.
         for n in grants:
-            n.grant_lease(candidate, epoch, now_s, self.lease_s)
+            n.grant_lease(candidate, now_s, self.lease_s)
         # Leader Completeness: adopt the most complete log in the grant
         # quorum -- it intersects every past commit quorum.
         best = max(grants, key=lambda n: n.log_key)
@@ -466,7 +463,7 @@ class ReplicationGroup:
             # Whole-log adoption: truncates any divergent (necessarily
             # uncommitted) suffix, exactly like Raft's conflict rule.
             n.log = list(leader.log)
-            n.grant_lease(leader.index, leader.epoch, now_s, self.lease_s)
+            n.grant_lease(leader.index, now_s, self.lease_s)
             acked.append(n)
         return acked
 
@@ -611,7 +608,7 @@ class ReplicationGroup:
         acked = self._ship(leader, now_s)
         if 1 + len(acked) < self.quorum:
             return False
-        leader.grant_lease(leader.index, leader.epoch, now_s, self.lease_s)
+        leader.grant_lease(leader.index, now_s, self.lease_s)
         self._commit(leader, acked, now_s)
         return True
 

@@ -65,7 +65,12 @@ class FaultInjectionError(ReproError):
 
 
 class TransactionError(ReproError):
-    """A control-plane transaction exhausted its retries and was rolled back.
+    """A control-plane transaction could not program a switch.
+
+    The resilient front end raises it when one switch's retries are
+    exhausted; the transaction loop then raises its
+    :class:`PartialTransactionError` subclass from it, after rolling the
+    programmed switches back.
 
     Attributes:
         ocs_id: the switch whose programming could not be completed.
@@ -86,11 +91,14 @@ class TransactionError(ReproError):
 class PartialTransactionError(TransactionError):
     """A multi-OCS transaction failed with some switches already programmed.
 
-    Raised by :meth:`repro.core.fabric_manager.FabricManager.reconfigure`
-    and ``reconfigure_delta`` when one switch's ``apply_plan`` raises
-    mid-transaction.  The manager rolls the already-applied switches back
-    by their inverse plans before raising; ``rolled_back`` reports whether
-    every one of them is back at its plan's pre-image.
+    Raised by :meth:`repro.core.fabric_manager.FabricManager.transact`,
+    the one per-switch transaction loop, so by every front end that
+    commits through it: the manager's ``reconfigure`` and
+    ``reconfigure_delta``, ``DurableController.reconfigure`` and
+    ``ResilientReconfigurer.reconfigure``.  The loop rolls the
+    already-applied switches back by their inverse plans before raising
+    from the cause; ``rolled_back`` reports whether every one of them is
+    back at its plan's pre-image.
 
     Attributes:
         applied: switches that had been programmed before the failure
@@ -98,16 +106,8 @@ class PartialTransactionError(TransactionError):
         unapplied: switches never reached, including the failing one.
     """
 
-    def __init__(
-        self,
-        message: str = "",
-        *,
-        ocs_id=None,
-        applied=(),
-        unapplied=(),
-        rolled_back: bool = False,
-    ) -> None:
-        super().__init__(message, ocs_id=ocs_id, rolled_back=rolled_back)
+    def __init__(self, message: str = "", *, applied=(), unapplied=(), **kwargs) -> None:
+        super().__init__(message, **kwargs)
         self.applied = tuple(applied)
         self.unapplied = tuple(unapplied)
 

@@ -17,14 +17,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Tuple
 
 from repro.core.crossconnect import Circuit, CrossConnectMap
 from repro.core.errors import (
     ConfigurationError,
+    ControllerCrash,
     CrossConnectError,
     PartialTransactionError,
     TopologyError,
+    TransactionError,
 )
 from repro.core.ids import LinkId, OcsId
 from repro.core.reconfig import (
@@ -227,8 +229,8 @@ class FabricManager:
         """Atomically drive a set of switches to target maps.
 
         All plans are computed first (so a bad target aborts the whole
-        transaction with no partial state), then committed (see
-        :meth:`_commit`).  Switches reconfigure in parallel in the real
+        transaction with no partial state), then committed by
+        :meth:`transact`.  Switches reconfigure in parallel in the real
         system; the returned duration is therefore the *maximum*
         per-switch duration, not the sum.
         """
@@ -253,31 +255,14 @@ class FabricManager:
         return self._commit(plans)
 
     def _commit(self, plans: Mapping[OcsId, ReconfigPlan]) -> float:
-        """Apply per-switch plans in switch order as one transaction.
-
-        If a switch's ``apply_plan`` raises mid-transaction, every switch
-        already programmed is rolled back by its inverse plan
-        (:meth:`undo_switch_plan`) and a
-        :class:`~repro.core.errors.PartialTransactionError` is raised
-        listing the applied and unapplied switches.  Returns the maximum
-        per-switch duration.
-        """
-        order = sorted(plans)
-        applied: List[OcsId] = []
-        max_duration = 0.0
-        with self.obs.tracer.span(
-            "fabric.reconfigure", switches=len(order)
-        ) as span:
-            for i, ocs_id in enumerate(order):
-                try:
-                    duration = self.apply_switch_plan(ocs_id, plans[ocs_id])
-                except Exception as err:
-                    error = self.abort_transaction(err, order[i:], applied, plans)
-                    span.set_attr("rolled_back", error.rolled_back)
-                    raise error from err
-                applied.append(ocs_id)
-                max_duration = max(max_duration, duration)
-            self.drop_stale_links()
+        """:meth:`transact` under the ``fabric.reconfigure`` span, with
+        the commit count and latency recorded."""
+        with self.obs.tracer.span("fabric.reconfigure", switches=len(plans)) as span:
+            try:
+                max_duration = self.transact(plans)
+            except PartialTransactionError as err:
+                span.set_attr("rolled_back", err.rolled_back)
+                raise
             self.obs.metrics.counter("fabric.reconfig.commits").inc()
             # The returned latency models parallel switch programming
             # (max, not the span's serialized sum).
@@ -286,38 +271,66 @@ class FabricManager:
             )
         return max_duration
 
-    def abort_transaction(
-        self, err: Exception, unapplied: Sequence[OcsId], applied: Sequence[OcsId],
+    def transact(
+        self,
         plans: Mapping[OcsId, ReconfigPlan],
-    ) -> PartialTransactionError:
-        """Roll ``applied`` switches back, newest first, after programming
-        ``unapplied[0]`` raised ``err``; returns the error to raise.
+        step: Optional[Callable[[OcsId, ReconfigPlan], float]] = None,
+        commit: Optional[Callable[[], None]] = None,
+    ) -> float:
+        """Apply per-switch plans in switch order as one transaction.
 
-        Its ``rolled_back`` is True when every switch verifiably matches
-        its plan's pre-image again; undo failures are swallowed (the
-        caller is already raising) and reported as ``False``.
+        The one per-switch transaction loop: :meth:`reconfigure`,
+        :meth:`reconfigure_delta` and the journaled and resilient front
+        ends all commit through it.  ``step(ocs_id, plan)`` programs one
+        switch and returns its ms (default :meth:`apply_switch_plan`).
+        Once every switch is programmed, ``commit()`` (if given) marks
+        the commit point, then links whose circuit moved are dropped;
+        returns the maximum per-switch duration.
+
+        If a step raises, the switches already programmed are undone
+        newest first (:meth:`undo_switch_plan`) and
+        :class:`~repro.core.errors.PartialTransactionError` is raised from
+        the cause, with the cause's ``attempts`` if it has them (else 1);
+        a failed undo reads ``rolled_back=False``.  A
+        :class:`~repro.core.errors.ControllerCrash` propagates untouched:
+        the controller died, and recovery owns the hardware.
         """
-        rolled_back = True
-        for ocs_id in reversed(applied):
+        if step is None:
+            step = self.apply_switch_plan
+        order = sorted(plans)
+        max_duration = 0.0
+        for i, ocs_id in enumerate(order):
             try:
-                rolled_back = self.undo_switch_plan(ocs_id, plans[ocs_id]) and rolled_back
-            except Exception:
-                rolled_back = False
-        self.obs.metrics.counter("fabric.reconfig.rollbacks").inc()
-        return PartialTransactionError(
-            f"programming {unapplied[0]} raised mid-transaction ({err}); "
-            f"applied switches {'restored' if rolled_back else 'NOT restored'}",
-            ocs_id=unapplied[0],
-            applied=applied,
-            unapplied=unapplied,
-            rolled_back=rolled_back,
-        )
+                duration = step(ocs_id, plans[ocs_id])
+            except ControllerCrash:
+                raise
+            except Exception as err:
+                rolled_back = True
+                for done in reversed(order[:i]):
+                    try:
+                        rolled_back = self.undo_switch_plan(done, plans[done]) and rolled_back
+                    except Exception:
+                        rolled_back = False
+                self.obs.metrics.counter("fabric.reconfig.rollbacks").inc()
+                raise PartialTransactionError(
+                    f"programming {ocs_id} raised mid-transaction ({err}); "
+                    f"applied switches {'restored' if rolled_back else 'NOT restored'}",
+                    ocs_id=ocs_id,
+                    attempts=err.attempts if isinstance(err, TransactionError) else 1,
+                    applied=order[:i],
+                    unapplied=order[i:],
+                    rolled_back=rolled_back,
+                ) from err
+            max_duration = max(max_duration, duration)
+        if commit is not None:
+            commit()
+        self.drop_stale_links()
+        return max_duration
 
     def undo_switch_plan(self, ocs_id: OcsId, plan: ReconfigPlan) -> bool:
         """Apply ``plan.inverse()`` to a switch that realized ``plan``.
 
-        The rollback step of every transaction, here and in
-        :mod:`repro.faults.resilience`.  No snapshot is needed: a plan
+        The rollback step of :meth:`transact`.  No snapshot is needed: a plan
         names its own pre-image (``unchanged | breaks``), and the return
         value says whether the switch is back at it.  Statistics are not
         recorded, since an undone plan never took effect.
@@ -331,9 +344,8 @@ class FabricManager:
     def apply_switch_plan(self, ocs_id: OcsId, plan: ReconfigPlan) -> float:
         """Apply one switch's plan and record statistics; returns ms.
 
-        The building block resilient transactions retry per switch
-        (:mod:`repro.faults.resilience`); callers composing several
-        switch plans should finish with :meth:`drop_stale_links`.
+        The default step of :meth:`transact`, and the one the journaled
+        and resilient front ends wrap.
         """
         with self.obs.tracer.span(
             "fabric.apply_plan", ocs=ocs_id, disturbed=plan.num_disturbed

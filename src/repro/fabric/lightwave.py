@@ -143,25 +143,6 @@ class LightwaveFabric:
     # Resilient transactions
     # ------------------------------------------------------------------ #
 
-    def transaction(
-        self,
-        policy: Optional[RetryPolicy] = None,
-        faults: Optional[ControlPlaneFaults] = None,
-        seed: int = 0,
-    ) -> ResilientReconfigurer:
-        """A resilient reconfigurer bound to this fabric's manager.
-
-        Programming through it retries per-OCS under injected RPC
-        timeouts / stuck mirrors, backs off with seeded jitter, and
-        rolls back to the exact pre-transaction state on exhaustion.
-        """
-        return ResilientReconfigurer(
-            manager=self.manager,
-            policy=policy or RetryPolicy(),
-            faults=faults,
-            seed=seed,
-        )
-
     def connect_all(
         self,
         pairs: Sequence[Tuple[str, str]],
@@ -171,9 +152,11 @@ class LightwaveFabric:
     ) -> Tuple[TransactionResult, Tuple[LinkId, ...]]:
         """Create several endpoint links in ONE resilient transaction.
 
-        All circuits land atomically: under injected control-plane
-        faults either every pair is connected (after retries) or none is
-        -- and links unrelated to the batch never glitch, even mid-retry.
+        All circuits land atomically through a
+        :class:`~repro.faults.resilience.ResilientReconfigurer`: under
+        injected control-plane faults either every pair is connected
+        (after per-OCS retries with seeded backoff) or none is -- and
+        links unrelated to the batch never glitch, even mid-retry.
         Returns the transaction result and the created link ids.
         """
         targets: Dict[OcsId, CrossConnectMap] = {}
@@ -187,7 +170,12 @@ class LightwaveFabric:
                 targets[att_a.ocs] = target
             target.connect(att_a.ocs_port, att_b.ocs_port)
             planned.append((link_id, att_a.ocs, att_a.ocs_port, att_b.ocs_port))
-        result = self.transaction(policy, faults, seed).reconfigure(targets)
+        result = ResilientReconfigurer(
+            manager=self.manager,
+            policy=policy or RetryPolicy(),
+            faults=faults,
+            seed=seed,
+        ).reconfigure(targets)
         link_ids = []
         for link_id, ocs_id, north, south in planned:
             self.manager.adopt_link(link_id, ocs_id, north, south)

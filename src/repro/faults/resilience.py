@@ -2,8 +2,9 @@
 
 §3.2.2 integrates OCSes into the same control plane as electrical
 switches; at fleet scale that control plane sees RPC timeouts and stuck
-mirrors.  This module turns :class:`~repro.core.fabric_manager.
-FabricManager` programming into a *transaction*:
+mirrors.  :class:`ResilientReconfigurer` commits through the fabric
+manager's one transaction loop (:meth:`~repro.core.fabric_manager.
+FabricManager.transact`) with a per-switch step that retries:
 
 - each switch's hitless plan is attempted with bounded retries,
   exponential backoff and seeded jitter (:class:`RetryPolicy`);
@@ -11,9 +12,12 @@ FabricManager` programming into a *transaction*:
   the :class:`~repro.faults.injector.FaultInjector`) fail individual
   attempts -- an RPC timeout fails a whole per-switch apply, a stuck
   mirror blocks any plan touching its port;
-- on retry exhaustion every switch already programmed is rolled back by
-  applying the *inverse* plan, restoring the exact pre-transaction
-  :class:`~repro.core.crossconnect.CrossConnectMap`;
+- on retry exhaustion the step raises, and the loop rolls every switch
+  already programmed back by its *inverse* plan, newest first -- the
+  same rollback a switch whose ``apply_plan`` raises gets -- restoring
+  the exact pre-transaction :class:`~repro.core.crossconnect.
+  CrossConnectMap` and raising :class:`~repro.core.errors.
+  PartialTransactionError`;
 - job isolation holds throughout: circuits in a plan's ``unchanged``
   set are never touched, by the forward plans, the retries, or the
   rollback.
@@ -22,12 +26,16 @@ FabricManager` programming into a *transaction*:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.crossconnect import Circuit, CrossConnectMap
-from repro.core.errors import ConfigurationError, TransactionError
+from repro.core.errors import (
+    ConfigurationError,
+    PartialTransactionError,
+    TransactionError,
+)
 from repro.core.fabric_manager import FabricManager
 from repro.core.ids import OcsId
 from repro.core.reconfig import ReconfigPlan
@@ -196,9 +204,12 @@ class ResilientReconfigurer:
     """Transactional multi-OCS reconfiguration over a fabric manager.
 
     Commits all-or-nothing: either every switch reaches its target map,
-    or (after per-switch retries are exhausted) every switch is restored
-    to its exact pre-transaction state and :class:`~repro.core.errors.
-    TransactionError` is raised with ``rolled_back=True``.
+    or (a switch's retries ran out, or its ``apply_plan`` raised) every
+    switch is restored to its exact pre-transaction state and
+    :class:`~repro.core.errors.PartialTransactionError` names the
+    failing switch, its ``attempts`` and the cause.  Rollback bypasses
+    the fault model: the undo program is replayed until it lands, since
+    a half-programmed fabric is the one unacceptable outcome.
     """
 
     manager: FabricManager
@@ -218,60 +229,52 @@ class ResilientReconfigurer:
     ) -> TransactionResult:
         """Drive the switches to their targets with retry + rollback."""
         plans = self.manager.plan(targets)
-        applied: List[Tuple[OcsId, ReconfigPlan]] = []
         attempts: Dict[OcsId, int] = {}
         backoff_total = 0.0
-        max_duration = 0.0
-        disturbed = preserved = 0
-        with self.obs.tracer.span(
-            "resilience.txn", switches=len(plans)
-        ) as span:
-            for ocs_id in sorted(plans):
-                plan = plans[ocs_id]
-                attempt = 0
-                while True:
-                    attempt += 1
-                    failure = self._attempt_failure(ocs_id, plan)
-                    if failure is None:
-                        duration = self.manager.apply_switch_plan(ocs_id, plan)
-                        max_duration = max(max_duration, duration)
-                        attempts[ocs_id] = attempt
-                        applied.append((ocs_id, plan))
-                        disturbed += plan.num_disturbed
-                        preserved += len(plan.unchanged)
-                        break
-                    self.obs.metrics.counter(
-                        "resilience.attempt.failures",
-                        reason="rpc-timeout" if failure.startswith("rpc")
-                        else "mirror-stuck",
-                    ).inc()
-                    self.obs.tracer.event(f"{ocs_id} attempt {attempt}: {failure}")
-                    if attempt > self.policy.max_retries:
-                        self._rollback(applied)
-                        self.obs.metrics.counter("resilience.rollbacks").inc()
-                        span.set_attr("rolled_back", True)
-                        raise TransactionError(
-                            f"programming {ocs_id} failed after {attempt} attempt(s) "
-                            f"({failure}); transaction rolled back",
-                            ocs_id=ocs_id,
-                            attempts=attempt,
-                            rolled_back=True,
-                        )
-                    backoff = self.policy.backoff_ms(attempt, self._rng)
-                    backoff_total += backoff
-                    self.obs.clock.advance(backoff)
-                    self.obs.metrics.counter("resilience.retries").inc()
-                    self.obs.metrics.histogram("resilience.backoff_ms").observe(
-                        backoff
+
+        def program(ocs_id: OcsId, plan: ReconfigPlan) -> float:
+            nonlocal backoff_total
+            attempt = 1
+            while True:
+                failure = self._attempt_failure(ocs_id, plan)
+                if failure is None:
+                    break
+                self.obs.metrics.counter(
+                    "resilience.attempt.failures",
+                    reason="rpc-timeout" if failure.startswith("rpc")
+                    else "mirror-stuck",
+                ).inc()
+                self.obs.tracer.event(f"{ocs_id} attempt {attempt}: {failure}")
+                if attempt > self.policy.max_retries:
+                    raise TransactionError(
+                        f"failed after {attempt} attempt(s): {failure}",
+                        ocs_id=ocs_id,
+                        attempts=attempt,
                     )
-            self.manager.drop_stale_links()
+                backoff = self.policy.backoff_ms(attempt, self._rng)
+                backoff_total += backoff
+                self.obs.clock.advance(backoff)
+                self.obs.metrics.counter("resilience.retries").inc()
+                self.obs.metrics.histogram("resilience.backoff_ms").observe(backoff)
+                attempt += 1
+            duration = self.manager.apply_switch_plan(ocs_id, plan)
+            attempts[ocs_id] = attempt
+            return duration
+
+        with self.obs.tracer.span("resilience.txn", switches=len(plans)) as span:
+            try:
+                max_duration = self.manager.transact(plans, program)
+            except PartialTransactionError as err:
+                self.obs.metrics.counter("resilience.rollbacks").inc()
+                span.set_attr("rolled_back", err.rolled_back)
+                raise
             self.obs.metrics.counter("resilience.commits").inc()
         return TransactionResult(
             attempts=attempts,
             backoff_ms=backoff_total,
             duration_ms=max_duration,
-            circuits_disturbed=disturbed,
-            circuits_preserved=preserved,
+            circuits_disturbed=sum(p.num_disturbed for p in plans.values()),
+            circuits_preserved=sum(len(p.unchanged) for p in plans.values()),
         )
 
     def _attempt_failure(self, ocs_id: OcsId, plan: ReconfigPlan) -> Optional[str]:
@@ -285,22 +288,3 @@ class ResilientReconfigurer:
             n, s = sorted(blocked)[0]
             return f"mirror stuck on circuit N{n}-S{s}"
         return None
-
-    def _rollback(self, applied: List[Tuple[OcsId, ReconfigPlan]]) -> None:
-        """Undo every applied plan, newest first; verify exact restore.
-
-        Each switch gets :meth:`~repro.core.fabric_manager.FabricManager.
-        undo_switch_plan` (the inverse plan, checked against the plan's
-        pre-image).  Rollback bypasses the fault model: in the real
-        control plane the undo program is replayed until it lands (the
-        alternative -- leaving a half-programmed fabric -- is the one
-        unacceptable outcome).
-        """
-        for ocs_id, plan in reversed(applied):
-            if not self.manager.undo_switch_plan(ocs_id, plan):
-                raise TransactionError(
-                    f"rollback of {ocs_id} did not restore the pre-transaction map",
-                    ocs_id=ocs_id,
-                    rolled_back=False,
-                )
-        self.manager.drop_stale_links()

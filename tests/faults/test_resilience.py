@@ -54,6 +54,18 @@ class SpySwitch:
         return duration
 
 
+class FlakySwitch(SimpleSwitch):
+    """A map-only switch whose next ``apply_plan`` can be made to raise."""
+
+    fail_next = False
+
+    def apply_plan(self, plan):
+        if self.fail_next:
+            self.fail_next = False
+            raise RuntimeError("injected switch fault")
+        return super().apply_plan(plan)
+
+
 def make_manager(num_switches=1, spy=False):
     mgr = FabricManager()
     for i in range(num_switches):
@@ -206,6 +218,28 @@ class TestTransactions:
             LinkId("keep-a"),
             LinkId("keep-b"),
         }
+
+    def test_switch_fault_rolls_back_programmed_switches(self):
+        # A switch whose apply_plan raises (not an injected fault) gets
+        # the same inverse-plan rollback as an exhausted retry.
+        mgr = FabricManager()
+        for i in range(3):
+            mgr.add_switch(OcsId(i), FlakySwitch(RADIX))
+            mgr.establish(LinkId(f"l{i}"), OcsId(i), 0, 4)
+        pre = {oid: mgr.switch(oid).state.copy() for oid in mgr.switch_ids}
+        mgr.switch(OcsId(1)).fail_next = True
+        targets = {
+            oid: CrossConnectMap.from_circuits(RADIX, {0: 5}) for oid in mgr.switch_ids
+        }
+        with pytest.raises(TransactionError) as err:
+            ResilientReconfigurer(manager=mgr).reconfigure(targets)
+        assert err.value.rolled_back
+        assert err.value.ocs_id == OcsId(1)
+        assert err.value.attempts == 1
+        assert "injected switch fault" in str(err.value)
+        for oid in mgr.switch_ids:
+            assert mgr.switch(oid).state == pre[oid]
+        assert mgr.verify_links() == ()
 
     def test_mirror_stuck_blocks_only_touching_plans(self):
         mgr = make_manager()
